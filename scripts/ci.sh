@@ -7,6 +7,8 @@
 #   4. TSan configuration — full ctest under ThreadSanitizer; the matrix
 #                           tests drive concurrent machines, so this is
 #                           the data-race gate for the parallel harness
+#   4b. Release build     — full ctest with -DCMAKE_BUILD_TYPE=Release
+#                           (-O3, NDEBUG, -Werror still on)
 #   5. bench smoke        — bench_hotpath --json and bench_matrix --json;
 #                           fail on malformed JSON or missing keys
 #   5b. campaign smoke    — bench_ecc_campaign over the codec zoo: JSON
@@ -504,6 +506,7 @@ stage "tier-1 (default build + ctest)" build_and_test build
 stage "asan ctest" build_and_test build-asan -DSAFEMEM_ASAN=ON
 stage "ubsan ctest" build_and_test build-ubsan -DSAFEMEM_UBSAN=ON
 stage "tsan ctest" build_and_test build-tsan -DSAFEMEM_TSAN=ON
+stage "release ctest" build_and_test build-release -DCMAKE_BUILD_TYPE=Release
 stage "bench smoke (hotpath --json)" bench_smoke
 stage "bench smoke (matrix --json)" matrix_smoke
 stage "campaign smoke (ecc codec zoo)" campaign_smoke

@@ -30,6 +30,15 @@ MemoryController::MemoryController(PhysicalMemory &memory, CycleClock &clock,
     if (code_.dataBits() != 64)
         panic("MemoryController: codec '", code_.name(), "' protects ",
               code_.dataBits(), " data bits; the ECC group is 64");
+    // DRAM that was never written holds all-zero words and check bytes
+    // (PhysicalMemory materialises a page only on its first write), and
+    // the scrubber skips such pages as clean. Both are only sound when
+    // zero data encodes to a zero check word — true of every linear
+    // code, but a codec is free to be affine.
+    if (code_.encode(0) != 0)
+        panic("MemoryController: codec '", code_.name(),
+              "' encodes all-zero data to check word ", code_.encode(0),
+              "; untouched DRAM would not decode clean");
     if (code_.checkBits() > memory_.checkBits())
         panic("MemoryController: codec '", code_.name(), "' needs ",
               code_.checkBits(), " check bits; the DIMM stores ",
@@ -652,6 +661,18 @@ MemoryController::scrubBank(unsigned id)
                        first, line_count, id);
     for (PhysAddr page = first; page < memory_.size(); page += stride) {
         bank.scrubCursor_ = page;
+        if (page + kPageSize <= memory_.size() &&
+            !memory_.pageTouched(page)) {
+            // A never-written page is all zero codewords (encode(0) == 0
+            // is checked at boot) with zero-line EDC folds: every word
+            // decodes clean and raises no stat, trace record or
+            // interrupt, so only the patrol reads' cycles remain. A
+            // partial tail frame keeps the line walk, which panics at
+            // the capacity exactly as it always has.
+            clock_.advance(kPageSize / kEccGroupSize * kScrubWordCycles,
+                           CostCenter::Kernel);
+            continue;
+        }
         for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l)
             scrubLine(page + l * kCacheLineSize);
     }

@@ -47,7 +47,8 @@ class MemoryController
     /**
      * @param code the ECC codec wired into the datapath (must outlive
      *        the controller). The machine geometry requires 64 data
-     *        bits and a check word that fits the DIMM's check lane;
+     *        bits, a check word that fits the DIMM's check lane, and
+     *        encode(0) == 0 so never-written DRAM decodes clean;
      *        anything else panics at construction.
      * @param banks number of interleaved banks in [1, kMaxMemoryBanks];
      *        the DIMM must hold at least one page per bank.
@@ -167,6 +168,8 @@ class MemoryController
      * One full scrub pass over bank @p id's slice of memory: its pages
      * in ascending address order, advancing the bank's scrub cursor.
      * With one bank this is exactly the old whole-memory scrub pass.
+     * A page that was never written is not decoded — it cannot hold an
+     * error — but is charged the same patrol cycles as a decoded one.
      */
     void scrubBank(unsigned id);
 

@@ -19,48 +19,69 @@ PhysicalMemory::PhysicalMemory(std::size_t bytes, int check_bits,
         !validCodewordBytes(geometry_.codewordBytes))
         fatal("PhysicalMemory: unsupported codeword size ",
               geometry_.codewordBytes);
-    words_.assign(bytes / kEccGroupSize, 0);
-    // All-zero data has all-zero check bits under any linear code, so
-    // fresh memory decodes cleanly without an explicit init pass.
-    checks_.assign(bytes / kEccGroupSize, 0);
-    // The EDC lane starts consistent with the all-zero data.
-    if (!geometry_.isWord())
-        edc_.assign(bytes / kCacheLineSize,
-                    edcZeroLineFold(geometry_.edc));
+    if (hasEdcLane())
+        zeroFold_ = edcZeroLineFold(geometry_.edc);
+    pages_.resize(alignUp(bytes, kPageSize) / kPageSize);
+}
+
+PhysicalMemory::Page &
+PhysicalMemory::touchPage(PhysAddr addr)
+{
+    std::unique_ptr<Page> &slot = pages_[addr / kPageSize];
+    if (!slot) {
+        slot = std::make_unique<Page>();
+        if (hasEdcLane())
+            slot->edc.assign(kLinesPerPage, zeroFold_);
+    }
+    return *slot;
+}
+
+bool
+PhysicalMemory::pageTouched(PhysAddr addr) const
+{
+    if (addr >= bytes_)
+        panic("PhysicalMemory: address ", addr, " beyond capacity ", bytes_);
+    return findPage(addr) != nullptr;
 }
 
 std::size_t
-PhysicalMemory::wordIndex(PhysAddr addr) const
+PhysicalMemory::wordSlot(PhysAddr addr) const
 {
     if (!isAligned(addr, kEccGroupSize))
         panic("PhysicalMemory: unaligned word address ", addr);
     if (addr >= bytes_)
         panic("PhysicalMemory: address ", addr, " beyond capacity ", bytes_);
-    return addr / kEccGroupSize;
+    return addr % kPageSize / kEccGroupSize;
 }
 
 std::uint64_t
 PhysicalMemory::readWord(PhysAddr addr) const
 {
-    return words_[wordIndex(addr)];
+    std::size_t slot = wordSlot(addr);
+    const Page *page = findPage(addr);
+    return page ? page->words[slot] : 0;
 }
 
 void
 PhysicalMemory::writeWord(PhysAddr addr, std::uint64_t value)
 {
-    words_[wordIndex(addr)] = value;
+    std::size_t slot = wordSlot(addr);
+    touchPage(addr).words[slot] = value;
 }
 
 std::uint8_t
 PhysicalMemory::readCheck(PhysAddr addr) const
 {
-    return checks_[wordIndex(addr)];
+    std::size_t slot = wordSlot(addr);
+    const Page *page = findPage(addr);
+    return page ? page->checks[slot] : 0;
 }
 
 void
 PhysicalMemory::writeCheck(PhysAddr addr, std::uint8_t check)
 {
-    checks_[wordIndex(addr)] = check;
+    std::size_t slot = wordSlot(addr);
+    touchPage(addr).checks[slot] = check;
 }
 
 void
@@ -68,7 +89,8 @@ PhysicalMemory::flipDataBit(PhysAddr addr, int bit)
 {
     if (bit < 0 || bit > 63)
         panic("PhysicalMemory: bad data bit ", bit);
-    words_[wordIndex(addr)] ^= 1ULL << bit;
+    std::size_t slot = wordSlot(addr);
+    touchPage(addr).words[slot] ^= 1ULL << bit;
 }
 
 void
@@ -76,31 +98,35 @@ PhysicalMemory::flipCheckBit(PhysAddr addr, int bit)
 {
     if (bit < 0 || bit >= checkBits_)
         panic("PhysicalMemory: bad check bit ", bit);
-    checks_[wordIndex(addr)] ^= static_cast<std::uint8_t>(1u << bit);
+    std::size_t slot = wordSlot(addr);
+    touchPage(addr).checks[slot] ^= static_cast<std::uint8_t>(1u << bit);
 }
 
 std::size_t
-PhysicalMemory::lineIndex(PhysAddr addr) const
+PhysicalMemory::lineSlot(PhysAddr addr) const
 {
-    if (edc_.empty())
+    if (!hasEdcLane())
         panic("PhysicalMemory: no EDC lane on a word-geometry DIMM");
     if (!isAligned(addr, kCacheLineSize))
         panic("PhysicalMemory: unaligned line address ", addr);
     if (addr >= bytes_)
         panic("PhysicalMemory: address ", addr, " beyond capacity ", bytes_);
-    return addr / kCacheLineSize;
+    return addr % kPageSize / kCacheLineSize;
 }
 
 std::uint64_t
 PhysicalMemory::readEdc(PhysAddr line_addr) const
 {
-    return edc_[lineIndex(line_addr)];
+    std::size_t slot = lineSlot(line_addr);
+    const Page *page = findPage(line_addr);
+    return page ? page->edc[slot] : zeroFold_;
 }
 
 void
 PhysicalMemory::writeEdc(PhysAddr line_addr, std::uint64_t fold)
 {
-    edc_[lineIndex(line_addr)] = fold;
+    std::size_t slot = lineSlot(line_addr);
+    touchPage(line_addr).edc[slot] = fold;
 }
 
 void
@@ -109,7 +135,8 @@ PhysicalMemory::flipEdcBit(PhysAddr line_addr, int bit)
     if (bit < 0 ||
         bit >= static_cast<int>(edcBitsPerLine(geometry_.edc)))
         panic("PhysicalMemory: bad EDC bit ", bit);
-    edc_[lineIndex(line_addr)] ^= 1ULL << bit;
+    std::size_t slot = lineSlot(line_addr);
+    touchPage(line_addr).edc[slot] ^= 1ULL << bit;
 }
 
 } // namespace safemem

@@ -9,11 +9,21 @@
  * physically has. Raw accessors here neither charge cycles nor validate
  * codes; they are what the controller's datapath and the test
  * fault-injection hooks are built from.
+ *
+ * Storage is footprint-proportional: a page table holds one slot per
+ * 4 KiB frame, and a frame's data, check and EDC lanes are allocated on
+ * the first write (or injected fault) that lands in it. An untouched
+ * frame reads as all-zero data with all-zero check bytes and
+ * edcZeroLineFold() folds — exactly what a zero-filled DIMM would hold,
+ * and a clean codeword under any codec with encode(0) == 0 (which
+ * MemoryController checks at boot). Reads never allocate.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -25,8 +35,14 @@ class PhysicalMemory
 {
   public:
     /**
+     * Sizes the page table only; no lane storage is allocated until a
+     * page is first written, so construction costs one pointer per
+     * frame regardless of what the workload goes on to touch.
+     *
      * @param bytes      capacity; must be a non-zero multiple of the
-     *                   cache-line size.
+     *                   cache-line size. It need not be a page
+     *                   multiple: the tail frame is addressable up to
+     *                   the capacity and no further.
      * @param check_bits stored check bits per 64-bit ECC group, in
      *                   [1, 8] — the width of the DIMM's check lane
      *                   (8 for the paper's x72 modules). Fault
@@ -45,6 +61,11 @@ class PhysicalMemory
 
     /** @return stored check bits per ECC group. */
     int checkBits() const { return checkBits_; }
+
+    /** @return whether the frame holding @p addr has been written (or
+     *  had a fault injected) since power-on. An untouched frame reads
+     *  as zero-filled DRAM. */
+    bool pageTouched(PhysAddr addr) const;
 
     /** @return the data word at 8-byte-aligned physical address @p addr. */
     std::uint64_t readWord(PhysAddr addr) const;
@@ -72,7 +93,7 @@ class PhysicalMemory
     /// @{
 
     /** @return whether this DIMM carries an EDC lane. */
-    bool hasEdcLane() const { return !edc_.empty(); }
+    bool hasEdcLane() const { return !geometry_.isWord(); }
 
     /** @return the geometry this DIMM was organised for. */
     const ProtectionGeometry &geometry() const { return geometry_; }
@@ -89,16 +110,41 @@ class PhysicalMemory
     /// @}
 
   private:
-    std::size_t wordIndex(PhysAddr addr) const;
-    std::size_t lineIndex(PhysAddr addr) const;
+    static constexpr std::size_t kWordsPerPage = kPageSize / kEccGroupSize;
+    static constexpr std::size_t kLinesPerPage = kPageSize / kCacheLineSize;
+
+    /** One frame's lanes, allocated on its first write. */
+    struct Page
+    {
+        std::array<std::uint64_t, kWordsPerPage> words{};
+        std::array<std::uint8_t, kWordsPerPage> checks{};
+        /** EDC lane: one fold per line; empty for word geometry. */
+        std::vector<std::uint64_t> edc;
+    };
+
+    /** Validate a word address. @return its slot within its page. */
+    std::size_t wordSlot(PhysAddr addr) const;
+    /** Validate a line address on the EDC lane. @return its slot
+     *  within its page. */
+    std::size_t lineSlot(PhysAddr addr) const;
+
+    /** @return the page holding @p addr, or null while untouched. */
+    const Page *findPage(PhysAddr addr) const
+    {
+        return pages_[addr / kPageSize].get();
+    }
+
+    /** @return the page holding @p addr, materialising it zero-filled
+     *  (with zero-line EDC folds) on first use. */
+    Page &touchPage(PhysAddr addr);
 
     std::size_t bytes_;
     int checkBits_;
     ProtectionGeometry geometry_;
-    std::vector<std::uint64_t> words_;
-    std::vector<std::uint8_t> checks_;
-    /** EDC lane: one fold word per line; empty for word geometry. */
-    std::vector<std::uint64_t> edc_;
+    /** What an untouched line's EDC lane holds (block geometries). */
+    std::uint64_t zeroFold_ = 0;
+    /** One slot per frame; null until the frame's first write. */
+    std::vector<std::unique_ptr<Page>> pages_;
 };
 
 } // namespace safemem

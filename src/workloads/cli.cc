@@ -303,11 +303,11 @@ traceLabel(const RunSpec &spec)
     if (spec.params.buggy)
         label += "+buggy";
     if (spec.procs > 1)
-        label += "+procs" + std::to_string(spec.procs);
+        label.append("+procs").append(std::to_string(spec.procs));
     if (spec.params.banks > 1)
-        label += "+banks" + std::to_string(spec.params.banks);
+        label.append("+banks").append(std::to_string(spec.params.banks));
     if (!spec.params.geometry.isWord())
-        label += "+" + geometryLabel(spec.params.geometry);
+        label.append("+").append(geometryLabel(spec.params.geometry));
     return label;
 }
 

@@ -14,6 +14,7 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
+#include "ecc/geometry.h"
 #include "mem/memory_controller.h"
 #include "mem/physical_memory.h"
 #include "os/machine.h"
@@ -374,6 +375,94 @@ TEST(BankedConsolidated, DeterministicAcrossWorkersAtEveryBankCount)
             EXPECT_EQ(serial.stats.count("sched.bank_disjoint_handoffs"),
                       0u)
                 << "banks=1 keeps the pre-bank stats key set";
+        }
+    }
+}
+
+/** One controller over its own DRAM, clock and trace, for comparing
+ *  two scrub passes side by side. */
+struct ScrubRig
+{
+    ScrubRig(ProtectionGeometry geometry, unsigned banks)
+        : memory(kBytes, 8, geometry),
+          controller(memory, clock, &trace, defaultCodec(), banks, geometry)
+    {
+        controller.setInterruptHandler(
+            [this](const EccFaultInfo &) { ++interrupts; });
+    }
+
+    static constexpr std::size_t kBytes = 32 * kPageSize;
+    CycleClock clock;
+    Trace trace;
+    PhysicalMemory memory;
+    MemoryController controller;
+    int interrupts = 0;
+};
+
+void
+expectSameScrubOutcome(const ScrubRig &a, const ScrubRig &b)
+{
+    EXPECT_EQ(a.clock.now(), b.clock.now());
+    for (std::size_t c = 0;
+         c < static_cast<std::size_t>(CostCenter::NumCostCenters); ++c)
+        EXPECT_EQ(a.clock.charged(static_cast<CostCenter>(c)),
+                  b.clock.charged(static_cast<CostCenter>(c)))
+            << "cost center " << c;
+    EXPECT_EQ(a.controller.stats().all(), b.controller.stats().all());
+    EXPECT_EQ(a.controller.geometryStats().all(),
+              b.controller.geometryStats().all());
+    for (unsigned id = 0; id < a.controller.numBanks(); ++id) {
+        const MemoryBank &x = a.controller.bank(id);
+        const MemoryBank &y = b.controller.bank(id);
+        EXPECT_EQ(x.stats().all(), y.stats().all()) << "bank " << id;
+        EXPECT_EQ(x.geometryStats().all(), y.geometryStats().all())
+            << "bank " << id;
+        EXPECT_EQ(x.scrubCursor(), y.scrubCursor()) << "bank " << id;
+    }
+    EXPECT_EQ(a.trace.records(), b.trace.records());
+    EXPECT_EQ(a.interrupts, b.interrupts);
+}
+
+TEST(ScrubSkip, UntouchedPagesScrubLikeZeroWrittenOnes)
+{
+    // Oracle for the scrubber's untouched-page skip: a pass over fresh
+    // DRAM must be indistinguishable — cycles per cost center, every
+    // stat, cursors, trace — from a pass over DRAM whose every page was
+    // materialised with clean zero words, which the scrubber decodes
+    // line by line.
+    for (const char *spec : {"word", "block:512/crc32"}) {
+        for (unsigned banks : {1u, 4u}) {
+            SCOPED_TRACE(std::string(spec) + " x" + std::to_string(banks));
+            ProtectionGeometry geometry = *parseGeometry(spec);
+            ScrubRig fresh(geometry, banks);
+            ScrubRig written(geometry, banks);
+            for (PhysAddr addr = 0; addr < ScrubRig::kBytes;
+                 addr += kEccGroupSize)
+                written.controller.writeWordDeviceOp(addr, 0);
+            for (PhysAddr page = 0; page < ScrubRig::kBytes;
+                 page += kPageSize) {
+                ASSERT_FALSE(fresh.memory.pageTouched(page));
+                ASSERT_TRUE(written.memory.pageTouched(page));
+            }
+
+            fresh.controller.scrubAll();
+            written.controller.scrubAll();
+            EXPECT_GT(fresh.clock.charged(CostCenter::Kernel), 0u);
+            expectSameScrubOutcome(fresh, written);
+            for (PhysAddr page = 0; page < ScrubRig::kBytes;
+                 page += kPageSize)
+                ASSERT_FALSE(fresh.memory.pageTouched(page));
+
+            // A touched page is still decoded: a flipped bit in one page
+            // of the fresh DRAM is found and healed by the next pass.
+            const PhysAddr victim = 5 * kPageSize + 3 * kCacheLineSize;
+            fresh.memory.flipDataBit(victim, 9);
+            fresh.controller.scrubAll();
+            EXPECT_EQ(fresh.controller.stats().get(
+                          ControllerStat::SingleBitCorrected),
+                      1u);
+            EXPECT_EQ(fresh.memory.readWord(victim), 0u);
+            EXPECT_EQ(fresh.interrupts, 0);
         }
     }
 }

@@ -5,14 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "common/clock.h"
 #include "common/costs.h"
 #include "common/logging.h"
+#include "ecc/edc.h"
+#include "ecc/geometry.h"
 #include "ecc/hamming.h"
 #include "ecc/hsiao_param.h"
 #include "ecc/scramble.h"
 #include "mem/memory_controller.h"
 #include "mem/physical_memory.h"
+#include "os/machine.h"
 
 namespace safemem {
 namespace {
@@ -137,6 +143,44 @@ TEST_F(ControllerTest, CodecGeometryIsValidatedAtConstruction)
     PhysicalMemory small_checks(4096, 4);
     HsiaoParamCode full(64, 8);
     EXPECT_THROW(MemoryController(small_checks, clock, nullptr, full),
+                 PanicError);
+}
+
+/** A Hsiao code with every check word complemented in its low bit:
+ *  a perfectly good SEC-DED code, but affine — zero data encodes to a
+ *  non-zero check word. */
+class AffineCodec : public EccCodec
+{
+  public:
+    const char *name() const override { return "affine-hsiao"; }
+    int dataBits() const override { return 64; }
+    int checkBits() const override { return 8; }
+    std::uint64_t encode(std::uint64_t data) const override
+    {
+        return inner_.encode(data) ^ 1;
+    }
+    EccDecodeResult decode(std::uint64_t data,
+                           std::uint64_t check) const override
+    {
+        return inner_.decode(data, check ^ 1);
+    }
+    std::uint64_t column(int bit) const override
+    {
+        return inner_.column(bit);
+    }
+
+  private:
+    HsiaoParamCode inner_{64, 8};
+};
+
+TEST_F(ControllerTest, AffineCodecIsRejectedAtConstruction)
+{
+    // Never-written DRAM reads as zero data with zero check bytes, so a
+    // codec whose zero codeword is not all-zero would see every
+    // untouched word as corrupt. The controller refuses it at boot.
+    AffineCodec affine;
+    ASSERT_NE(affine.encode(0), 0u);
+    EXPECT_THROW(MemoryController(memory, clock, nullptr, affine),
                  PanicError);
 }
 
@@ -291,6 +335,128 @@ TEST(PhysicalMemory, FreshMemoryDecodesClean)
     EccDecodeResult result =
         code.decode(memory.readWord(0), memory.readCheck(0));
     EXPECT_EQ(result.status, EccDecodeStatus::Ok);
+}
+
+/** @return how many of @p memory's pages have been materialised. */
+std::size_t
+touchedPages(const PhysicalMemory &memory)
+{
+    std::size_t touched = 0;
+    for (PhysAddr page = 0; page < memory.size(); page += kPageSize)
+        touched += memory.pageTouched(page) ? 1 : 0;
+    return touched;
+}
+
+TEST(PhysicalMemory, UntouchedPagesReadAsZeroFilledDram)
+{
+    PhysicalMemory word(4 * kPageSize);
+    for (PhysAddr addr : {PhysAddr{0}, PhysAddr{kPageSize + 8},
+                          PhysAddr{4 * kPageSize - 8}}) {
+        EXPECT_EQ(word.readWord(addr), 0u);
+        EXPECT_EQ(word.readCheck(addr), 0u);
+    }
+    for (const char *spec : {"block:512/parity", "block:4096/crc32"}) {
+        ProtectionGeometry geometry = *parseGeometry(spec);
+        PhysicalMemory block(4 * kPageSize, 8, geometry);
+        for (PhysAddr line : {PhysAddr{0}, PhysAddr{2 * kPageSize + 64},
+                              PhysAddr{4 * kPageSize - 64}}) {
+            EXPECT_EQ(block.readEdc(line), edcZeroLineFold(geometry.edc))
+                << spec;
+            EXPECT_EQ(block.readWord(line), 0u) << spec;
+        }
+        EXPECT_EQ(touchedPages(block), 0u) << spec;
+    }
+}
+
+TEST(PhysicalMemory, ReadsNeverMaterialisePages)
+{
+    CycleClock clock;
+    PhysicalMemory memory(4 * kPageSize, 8, *parseGeometry("block:512"));
+    MemoryController controller(memory, clock, nullptr, defaultCodec(), 1,
+                                memory.geometry());
+    for (PhysAddr line = 0; line < memory.size(); line += kCacheLineSize) {
+        memory.readWord(line);
+        memory.readCheck(line);
+        memory.readEdc(line);
+        controller.peekWord(line);
+        LineData out{};
+        controller.peekLine(line, out);
+        EXPECT_TRUE(controller.edcConsistent(line));
+    }
+    EXPECT_EQ(touchedPages(memory), 0u);
+}
+
+TEST(PhysicalMemory, WritesAndFlipsMaterialiseOnlyTheirOwnPage)
+{
+    const ProtectionGeometry geometry = *parseGeometry("block:512/crc32");
+    const PhysAddr target = 2 * kPageSize + 128;
+    const std::vector<std::function<void(PhysicalMemory &)>> ops = {
+        [&](PhysicalMemory &m) { m.writeWord(target, 0); },
+        [&](PhysicalMemory &m) { m.writeCheck(target, 0); },
+        [&](PhysicalMemory &m) { m.flipDataBit(target, 63); },
+        [&](PhysicalMemory &m) { m.flipCheckBit(target, 7); },
+        [&](PhysicalMemory &m) { m.writeEdc(target, 0); },
+        [&](PhysicalMemory &m) { m.flipEdcBit(target, 31); },
+    };
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        PhysicalMemory memory(4 * kPageSize, 8, geometry);
+        ops[i](memory);
+        for (PhysAddr page = 0; page < memory.size(); page += kPageSize)
+            EXPECT_EQ(memory.pageTouched(page),
+                      page == alignDown(target, kPageSize))
+                << "op " << i << " page " << page;
+        // The rest of the materialised page still reads zero-filled.
+        EXPECT_EQ(memory.readWord(target + 8), 0u) << "op " << i;
+        EXPECT_EQ(memory.readEdc(target + 64),
+                  edcZeroLineFold(geometry.edc)) << "op " << i;
+    }
+    // A rejected access materialises nothing.
+    PhysicalMemory memory(4 * kPageSize);
+    EXPECT_THROW(memory.flipDataBit(target, 64), PanicError);
+    EXPECT_THROW(memory.writeWord(target + 1, 1), PanicError);
+    EXPECT_THROW(memory.writeEdc(target, 0), PanicError);
+    EXPECT_EQ(touchedPages(memory), 0u);
+}
+
+TEST(PhysicalMemory, TailOfNonPageMultipleCapacity)
+{
+    const std::size_t bytes = kPageSize + kCacheLineSize;
+    PhysicalMemory memory(bytes, 8, *parseGeometry("block:512/parity"));
+    const PhysAddr tail = kPageSize;
+    EXPECT_EQ(memory.readWord(tail + 56), 0u);
+    memory.writeWord(tail + 56, 0xfeedULL);
+    memory.writeEdc(tail, 0x5aULL);
+    EXPECT_EQ(memory.readWord(tail + 56), 0xfeedULL);
+    EXPECT_EQ(memory.readEdc(tail), 0x5aULL);
+    EXPECT_TRUE(memory.pageTouched(tail));
+    EXPECT_FALSE(memory.pageTouched(0));
+    EXPECT_THROW(memory.readWord(bytes), PanicError);
+    EXPECT_THROW(memory.writeWord(bytes, 1), PanicError);
+    EXPECT_THROW(memory.readEdc(bytes), PanicError);
+    EXPECT_THROW(memory.flipCheckBit(bytes, 0), PanicError);
+    EXPECT_THROW(memory.pageTouched(bytes), PanicError);
+}
+
+TEST(PhysicalMemory, FourGibMachineTouchesOnlyItsFootprint)
+{
+    // Lane storage follows the pages a run writes, not the capacity:
+    // a 4 GiB machine boots and runs for the cost of its page table.
+    MachineConfig config{std::size_t{4} << 30, CacheConfig{16, 2}, 64};
+    Machine machine(config);
+    const std::size_t bytes = 16 * kPageSize;
+    VirtAddr buffer = machine.kernel().mapRegion(bytes);
+    for (std::size_t off = 0; off < bytes; off += kCacheLineSize)
+        machine.store<std::uint64_t>(buffer + off, off ^ 0xabcdULL);
+    machine.cache().flushAll();
+    for (std::size_t off = 0; off < bytes; off += kCacheLineSize)
+        EXPECT_EQ(machine.load<std::uint64_t>(buffer + off),
+                  off ^ 0xabcdULL);
+
+    const PhysicalMemory &memory = machine.physicalMemory();
+    const std::size_t pages = memory.size() / kPageSize;
+    const std::size_t touched = touchedPages(memory);
+    EXPECT_GE(touched, bytes / kPageSize);
+    EXPECT_LT(touched * 100, pages) << touched << " of " << pages;
 }
 
 } // namespace
