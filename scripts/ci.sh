@@ -17,6 +17,10 @@
 #   6. trace smoke        — a traced safemem_run workload decoded with
 #                           trace_dump (records + --summary); fail on
 #                           malformed JSON-lines
+#   6b. watch trace guard — a consolidated, banked squid1 run's
+#                           trace_dump --summary (emitted/retained counts
+#                           per event and per bank, cycle span) must
+#                           match tests/data/golden_watch_trace_summary
 #   7. multiproc smoke    — the full app sweep at --procs 2 must produce
 #                           byte-identical reports for any worker count
 #   7b. bank smoke        — the full app sweep at --banks 4 must be
@@ -235,6 +239,26 @@ assert bank_records > 0, "no bank-carrying records decoded"
 print(f"trace smoke: {len(lines)} records across {len(last_seq)} run(s), "
       f"{bank_records} bank-carrying")
 PYEOF
+}
+
+watch_trace_guard() {
+    # The watch layer's observable traffic is pinned: squid1 under
+    # SafeMem with three processes on four banks must emit and retain
+    # exactly the golden per-event and per-bank counts over the same
+    # cycle span, however the watch indexes are implemented.
+    local bin=build/watch_trace_guard.bin
+    local summary=build/watch_trace_guard_summary.jsonl
+    local golden=tests/data/golden_watch_trace_summary.jsonl
+    build/tools/safemem_run squid1 --tool safemem --requests 200 \
+        --procs 3 --banks 4 --trace "$bin" >/dev/null &&
+        build/tools/trace_dump --summary "$bin" >"$summary" &&
+        if cmp -s "$summary" "$golden"; then
+            echo "watch trace guard: summary matches the golden"
+        else
+            echo "watch trace guard: summary moved from the golden:"
+            diff "$golden" "$summary" | head -20
+            return 1
+        fi
 }
 
 bank_smoke() {
@@ -511,6 +535,8 @@ stage "bench smoke (hotpath --json)" bench_smoke
 stage "bench smoke (matrix --json)" matrix_smoke
 stage "campaign smoke (ecc codec zoo)" campaign_smoke
 stage "trace smoke (safemem_run --trace + trace_dump)" trace_smoke
+stage "watch trace guard (squid1 --procs 3 --banks 4 vs golden)" \
+    watch_trace_guard
 stage "multiproc smoke (--procs 2, serial vs parallel)" multiproc_smoke
 stage "bank smoke (--banks 4 sweep + bench_banked)" bank_smoke
 stage "fleet smoke (bench_fleet sampled sweep)" fleet_smoke

@@ -1,6 +1,9 @@
 #include "ecc/codec.h"
 
+#include <string_view>
+
 #include "common/logging.h"
+#include "common/parse.h"
 #include "ecc/hamming.h"
 #include "ecc/hamming_sec.h"
 #include "ecc/hsiao_param.h"
@@ -47,23 +50,17 @@ parseCodecSpec(const std::string &name)
 
     // "hsiao:<d>" or "hsiao:<d>/<k>" — dimensions validated here only
     // for shape; the construction itself rejects impossible geometries.
-    std::string dims = name.substr(6);
+    std::string_view dims = std::string_view(name).substr(6);
     std::size_t slash = dims.find('/');
-    try {
-        spec.kind = EccCodecKind::HsiaoParam;
-        if (slash == std::string::npos) {
-            spec.dataBits = std::stoi(dims);
-            spec.checkBits = 0; // auto-size
-        } else {
-            spec.dataBits = std::stoi(dims.substr(0, slash));
-            spec.checkBits = std::stoi(dims.substr(slash + 1));
-        }
-    } catch (const std::exception &) {
+    std::optional<std::uint64_t> data = parseCount(dims.substr(0, slash), 64);
+    std::optional<std::uint64_t> check = std::uint64_t{0}; // auto-size
+    if (slash != std::string_view::npos)
+        check = parseCount(dims.substr(slash + 1), 64);
+    if (!data || *data < 1 || !check)
         return std::nullopt;
-    }
-    if (spec.dataBits < 1 || spec.dataBits > 64 || spec.checkBits < 0 ||
-        spec.checkBits > 64)
-        return std::nullopt;
+    spec.kind = EccCodecKind::HsiaoParam;
+    spec.dataBits = static_cast<int>(*data);
+    spec.checkBits = static_cast<int>(*check);
     return spec;
 }
 

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <bitset>
+#include <bit>
 #include <cstring>
+#include <unordered_map>
 
 #include "check/simcheck.h"
 #include "common/costs.h"
@@ -12,6 +13,37 @@
 #include "trace/trace.h"
 
 namespace safemem {
+
+namespace {
+
+/** @return the PageTableEntry::watchedLines bit of @p vaddr's line. */
+std::uint64_t
+lineBit(VirtAddr vaddr)
+{
+    return std::uint64_t{1} << (vaddr % kPageSize / kCacheLineSize);
+}
+
+/**
+ * Visit each line of the mapped range [begin, end) in order, with its
+ * page's entry and its physical address: one page-table lookup per
+ * page. No cycle charge: the callers' charged walk has already resolved
+ * (and paged in) every page.
+ */
+template <typename Fn>
+void
+forEachLine(PageTable &table, VirtAddr begin, VirtAddr end, Fn &&fn)
+{
+    VirtAddr vline = begin;
+    while (vline < end) {
+        VirtAddr vpage = alignDown(vline, kPageSize);
+        PageTableEntry &pte = *table.find(vpage);
+        for (; vline < end && vline < vpage + kPageSize;
+             vline += kCacheLineSize)
+            fn(pte, vline, pte.frame + (vline - vpage));
+    }
+}
+
+} // namespace
 
 Kernel::Kernel(MemoryController &controller, Cache &cache, CycleClock &clock,
                Trace *trace)
@@ -189,6 +221,8 @@ Kernel::unmapRegion(VirtAddr base, std::size_t bytes)
             panic("Kernel::unmapRegion: vpage ", vpage, " not mapped");
         if (entry->pinCount > 0)
             panic("Kernel::unmapRegion: vpage ", vpage, " still pinned");
+        if (entry->watchedLines != 0)
+            panic("Kernel::unmapRegion: vpage ", vpage, " still watched");
         if (entry->present) {
             // Drop stale cached copies of the departing frame.
             for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l)
@@ -326,17 +360,18 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::KernelWatchMemory, clock_.now(),
                        addr, size);
     Process &proc = *current_;
-    AddressSpace &space = proc.space_;
+    PageTable &table = proc.space_.pageTable;
     if (!isAligned(addr, kCacheLineSize) || !isAligned(size, kCacheLineSize))
         panic("WatchMemory: region must be cache-line aligned (addr=",
               addr, " size=", size, ")");
+    const VirtAddr end = addr + size;
 
     // Resolve and pin every page the region touches (one walk + pin per
     // page, not per line).
-    for (VirtAddr vpage = alignDown(addr, kPageSize);
-         vpage < addr + size; vpage += kPageSize) {
+    for (VirtAddr vpage = alignDown(addr, kPageSize); vpage < end;
+         vpage += kPageSize) {
         clock_.advance(kPageTableWalkCycles);
-        PageTableEntry *entry = space.pageTable.find(vpage);
+        PageTableEntry *entry = table.find(vpage);
         if (!entry)
             panic("WatchMemory: unmapped address ", vpage);
         if (!entry->present)
@@ -347,34 +382,28 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
 
     // Evict cached copies so memory holds current data and the next
     // access must go to DRAM (paper: cache effects).
-    std::vector<PhysAddr> plines;
-    plines.reserve(size / kCacheLineSize);
-    for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-        VirtAddr vline = addr + off;
-        VirtAddr vpage = alignDown(vline, kPageSize);
-        PhysAddr pline =
-            space.pageTable.find(vpage)->frame + (vline - vpage);
-        if (proc.watched_.count(pline))
+    std::uint64_t bank_mask = 0;
+    forEachLine(table, addr, end, [&](PageTableEntry &pte, VirtAddr vline,
+                                      PhysAddr pline) {
+        if (pte.watchedLines & lineBit(vline))
             panic("WatchMemory: line ", vline, " already watched");
         cache_.flushLine(pline); // charges kCacheFlushLineCycles
-        plines.push_back(pline);
-    }
+        bank_mask |= std::uint64_t{1} << controller_.bankOf(pline);
+    });
 
     // Figure 2, batched: lock the banks the region's frames span (each
     // spanned bank's bus independently; untouched banks keep serving
     // cache traffic), disable ECC, flip the 3 signature bits of every
     // ECC group (check bytes stay stale), restore ECC, unlock.
-    std::uint64_t bank_mask = 0;
-    for (PhysAddr pline : plines)
-        bank_mask |= std::uint64_t{1} << controller_.bankOf(pline);
-    Cycles lock_count = std::bitset<64>(bank_mask).count();
+    Cycles lock_count = std::popcount(bank_mask);
     clock_.advance(2 * lock_count * kBusLockCycles +
                    2 * kEccModeSwitchCycles);
     {
         BankSetLockGuard bus(controller_, bank_mask);
         EccMode saved = controller_.mode();
         controller_.setMode(EccMode::Disabled);
-        for (PhysAddr pline : plines) {
+        forEachLine(table, addr, end,
+                    [&](PageTableEntry &, VirtAddr, PhysAddr pline) {
             clock_.advance(kScrambleLineCycles);
             for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
                 PhysAddr word_addr = pline + i * kEccGroupSize;
@@ -382,7 +411,7 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
                 controller_.writeWordDeviceOp(word_addr,
                                               scramble_.apply(original));
             }
-        }
+        });
         controller_.setMode(saved);
     }
 
@@ -390,9 +419,14 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
         // The scramble's whole purpose is to leave every group of the line
         // uncorrectable under the stale check bytes; a clean or merely
         // "corrected" group means the watch would never fire (or worse,
-        // silently corrupt data on the next fill).
+        // silently corrupt data on the next fill). Under a block geometry
+        // the scrambled line must also have gone EDC-stale, or the fill
+        // fast path would wave it through and the decode would never run
+        // (boot checked the fold delta is nonzero; this audits the
+        // datapath actually left it stale).
         const EccCodec &code = controller_.code();
-        for (PhysAddr pline : plines) {
+        forEachLine(table, addr, end,
+                    [&](PageTableEntry &, VirtAddr, PhysAddr pline) {
             for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
                 PhysAddr word_addr = pline + i * kEccGroupSize;
                 SIMCHECK_AUDIT(
@@ -403,29 +437,23 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
                     "scrambled word at ", word_addr,
                     " does not decode as a multi-bit fault");
             }
-        }
-        // Under a block geometry the scrambled line must also have gone
-        // EDC-stale, or the fill fast path would wave it through and the
-        // decode above would never run (boot checked the fold delta is
-        // nonzero; this audits the datapath actually left it stale).
-        if (!controller_.geometry().isWord()) {
-            for (PhysAddr pline : plines) {
+            if (!controller_.geometry().isWord())
                 SIMCHECK_AUDIT(AuditDomain::Kernel, "scramble_edc_stale",
                                !controller_.edcConsistent(pline),
                                "scrambled line at ", pline,
                                " still passes the EDC fast check");
-            }
-        }
+        });
     }
 
     clock_.advance(kWatchInsertCycles);
-    for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-        proc.watched_[plines[off / kCacheLineSize]] =
-            Process::WatchEntry{addr + off};
-        bump(KernelStat::LinesWatched);
-    }
+    forEachLine(table, addr, end,
+                [](PageTableEntry &pte, VirtAddr vline, PhysAddr) {
+        pte.watchedLines |= lineBit(vline);
+    });
+    proc.watchedLines_ += size / kCacheLineSize;
+    bump(KernelStat::LinesWatched, size / kCacheLineSize);
     stats_.maxOf(KernelStat::MaxWatchedLines, totalWatchedLineCount());
-    proc.stats_.maxOf(KernelStat::MaxWatchedLines, proc.watched_.size());
+    proc.stats_.maxOf(KernelStat::MaxWatchedLines, proc.watchedLines_);
 }
 
 void
@@ -435,14 +463,15 @@ Kernel::disableWatchMemory(VirtAddr addr, std::size_t size)
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::KernelDisableWatchMemory,
                        clock_.now(), addr, size);
     Process &proc = *current_;
-    AddressSpace &space = proc.space_;
+    PageTable &table = proc.space_.pageTable;
     if (!isAligned(addr, kCacheLineSize) || !isAligned(size, kCacheLineSize))
         panic("DisableWatchMemory: region must be cache-line aligned");
+    const VirtAddr end = addr + size;
 
-    for (VirtAddr vpage = alignDown(addr, kPageSize);
-         vpage < addr + size; vpage += kPageSize) {
+    for (VirtAddr vpage = alignDown(addr, kPageSize); vpage < end;
+         vpage += kPageSize) {
         clock_.advance(kPageTableWalkCycles);
-        PageTableEntry *entry = space.pageTable.find(vpage);
+        PageTableEntry *entry = table.find(vpage);
         if (!entry)
             panic("DisableWatchMemory: unmapped address ", vpage);
         if (!entry->present)
@@ -452,32 +481,24 @@ Kernel::disableWatchMemory(VirtAddr addr, std::size_t size)
     // Resolve the frames up front (uncharged re-walks; the charged
     // walks happened in the page loop above) so the spanned banks are
     // known before their buses are taken.
-    std::vector<PhysAddr> plines;
-    plines.reserve(size / kCacheLineSize);
     std::uint64_t bank_mask = 0;
-    for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-        VirtAddr vline = addr + off;
-        VirtAddr vpage = alignDown(vline, kPageSize);
-        PhysAddr pline =
-            space.pageTable.find(vpage)->frame + (vline - vpage);
-        plines.push_back(pline);
+    forEachLine(table, addr, end,
+                [&](PageTableEntry &, VirtAddr, PhysAddr pline) {
         bank_mask |= std::uint64_t{1} << controller_.bankOf(pline);
-    }
+    });
 
     // The scramble mask is its own inverse, and rewriting with ECC
     // enabled regenerates matching check bytes, clearing the watch.
     // The not-watched panic below unwinds *while the banks are locked*,
     // so the locks must be RAII-held or they stay wedged for the next
     // caller (regression: test_lock_discipline.cc).
-    Cycles lock_count = std::bitset<64>(bank_mask).count();
+    Cycles lock_count = std::popcount(bank_mask);
     clock_.advance(2 * lock_count * kBusLockCycles);
     {
         BankSetLockGuard bus(controller_, bank_mask);
-        for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-            VirtAddr vline = addr + off;
-            PhysAddr pline = plines[off / kCacheLineSize];
-            auto it = proc.watched_.find(pline);
-            if (it == proc.watched_.end())
+        forEachLine(table, addr, end, [&](PageTableEntry &pte,
+                                          VirtAddr vline, PhysAddr pline) {
+            if (!(pte.watchedLines & lineBit(vline)))
                 panic("DisableWatchMemory: line ", vline, " not watched");
 
             clock_.advance(kUnscrambleLineCycles);
@@ -487,15 +508,16 @@ Kernel::disableWatchMemory(VirtAddr addr, std::size_t size)
                 controller_.writeWordDeviceOp(word_addr,
                                               scramble_.apply(scrambled));
             }
-            proc.watched_.erase(it);
+            pte.watchedLines &= ~lineBit(vline);
+            --proc.watchedLines_;
             bump(KernelStat::LinesUnwatched);
-        }
+        });
     }
 
     clock_.advance(kWatchRemoveCycles);
     if (proc.swapPolicy_ == SwapWatchPolicy::PinPages) {
-        for (VirtAddr vpage = alignDown(addr, kPageSize);
-             vpage < addr + size; vpage += kPageSize)
+        for (VirtAddr vpage = alignDown(addr, kPageSize); vpage < end;
+             vpage += kPageSize)
             unpinPage(vpage);
     }
 }
@@ -510,20 +532,15 @@ Kernel::registerEccFaultHandler(UserEccHandler handler)
 bool
 Kernel::isWatched(VirtAddr vaddr) const
 {
-    const AddressSpace &space = current_->space_;
-    VirtAddr vpage = alignDown(vaddr, kPageSize);
-    const PageTableEntry *entry = space.pageTable.find(vpage);
-    if (!entry || !entry->present)
-        return false;
-    PhysAddr pline =
-        entry->frame + (alignDown(vaddr, kCacheLineSize) - vpage);
-    return current_->watched_.count(pline) != 0;
+    const PageTableEntry *entry =
+        current_->space_.pageTable.find(alignDown(vaddr, kPageSize));
+    return entry && (entry->watchedLines & lineBit(vaddr));
 }
 
 std::size_t
 Kernel::watchedLineCount() const
 {
-    return current_->watched_.size();
+    return current_->watchedLines_;
 }
 
 std::size_t
@@ -531,7 +548,7 @@ Kernel::totalWatchedLineCount() const
 {
     std::size_t total = 0;
     for (const auto &proc : processes_)
-        total += proc->watched_.size();
+        total += proc->watchedLines_;
     return total;
 }
 
@@ -692,7 +709,7 @@ Kernel::tick()
 void
 Kernel::setSwapWatchPolicy(SwapWatchPolicy policy)
 {
-    if (!current_->watched_.empty())
+    if (current_->watchedLines_ != 0)
         panic("Kernel: cannot change the swap/watch policy while lines "
               "are watched");
     current_->swapPolicy_ = policy;
@@ -719,23 +736,14 @@ Kernel::swapOutPage(VirtAddr vaddr)
     if (proc.swapPolicy_ == SwapWatchPolicy::UnwatchRewatch) {
         // Lift any watches on this page before the frame leaves; the
         // hook (SafeMem's library) parks them for the swap-in side.
-        bool page_watched = false;
-        for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l) {
-            if (proc.watched_.count(entry->frame + l * kCacheLineSize)) {
-                page_watched = true;
-                break;
-            }
-        }
-        if (page_watched) {
+        if (entry->watchedLines != 0) {
             if (!proc.preSwapOutHook_)
                 panic("Kernel: watched page swapping out with no "
                       "pre-swap hook registered");
             proc.preSwapOutHook_(vpage);
-            for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l) {
-                if (proc.watched_.count(entry->frame + l * kCacheLineSize))
-                    panic("Kernel: pre-swap hook left line watched on "
-                          "vpage ", vpage);
-            }
+            if (entry->watchedLines != 0)
+                panic("Kernel: pre-swap hook left line watched on "
+                      "vpage ", vpage);
             bump(KernelStat::WatchedPagesSwapped);
         }
     }
@@ -793,6 +801,16 @@ Kernel::pageIn(VirtAddr vpage)
 }
 
 void
+Kernel::testOnlyClobberWatchMask(VirtAddr vaddr)
+{
+    PageTableEntry *entry =
+        current_->space_.pageTable.find(alignDown(vaddr, kPageSize));
+    if (!entry)
+        panic("Kernel::testOnlyClobberWatchMask: unmapped ", vaddr);
+    entry->watchedLines ^= lineBit(vaddr);
+}
+
+void
 Kernel::auditInvariants() const
 {
     if (!simCheckActive())
@@ -820,10 +838,29 @@ Kernel::auditInvariants() const
 
         // A frame backs at most one page of one process — address spaces
         // never share memory. Tally the per-bank residency as we go to
-        // reconcile the incremental bankFrames_ counters below.
+        // reconcile the incremental bankFrames_ counters below, and the
+        // watched-line masks to reconcile with watchedLines_. Because a
+        // frame backs exactly one entry, a mask bit names its physical
+        // and virtual line at once: there is no per-line map or stored
+        // vline left to drift out of step.
         std::array<std::uint32_t, kMaxMemoryBanks> per_bank{};
+        std::size_t masked_lines = 0;
         space.pageTable.forEach([&](VirtAddr vpage,
                                     const PageTableEntry &entry) {
+            if (entry.watchedLines != 0) {
+                masked_lines += std::popcount(entry.watchedLines);
+                SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_page_resident",
+                               entry.present, "pid ", proc->pid(),
+                               " watches lines of non-resident vpage ",
+                               vpage);
+                SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_page_pinned",
+                               proc->swapPolicy_ !=
+                                       SwapWatchPolicy::PinPages ||
+                                   entry.pinCount > 0,
+                               "pid ", proc->pid(),
+                               " watches lines of unpinned vpage ", vpage,
+                               " under PinPages");
+            }
             if (!entry.present)
                 return;
             ++per_bank[controller_.bankOf(entry.frame)];
@@ -846,44 +883,25 @@ Kernel::auditInvariants() const
                            proc->bankFrames_[b]);
         }
 
-        // Watch bookkeeping must reconcile with the per-process syscall
-        // history: every watched line entered through WatchMemory and
-        // left through DisableWatchMemory (or a swap hook, which goes
-        // through the same syscall).
+        // The per-process line count must be the popcount of the masks,
+        // and both must reconcile with the per-process syscall history:
+        // every watched line entered through WatchMemory and left
+        // through DisableWatchMemory (or a swap hook, which goes through
+        // the same syscall).
+        SIMCHECK_AUDIT(AuditDomain::Kernel, "watch_mask_matches_count",
+                       masked_lines == proc->watchedLines_, "pid ",
+                       proc->pid(), ": page-table masks hold ",
+                       masked_lines, " watched lines but the count reads ",
+                       proc->watchedLines_);
         SIMCHECK_AUDIT(
             AuditDomain::Kernel, "watch_count_matches_history",
-            proc->watched_.size() ==
+            proc->watchedLines_ ==
                 proc->stats_.get(KernelStat::LinesWatched) -
                     proc->stats_.get(KernelStat::LinesUnwatched),
-            "pid ", proc->pid(), ": ", proc->watched_.size(),
+            "pid ", proc->pid(), ": ", proc->watchedLines_,
             " lines watched but history says ",
             proc->stats_.get(KernelStat::LinesWatched), " - ",
             proc->stats_.get(KernelStat::LinesUnwatched));
-
-        for (const auto &[pline, entry] : proc->watched_) {
-            PhysAddr frame = alignDown(pline, kPageSize);
-            auto vpage = space.pageTable.reverse(frame);
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_line_mapped",
-                           vpage.has_value(), "watched phys line ", pline,
-                           " backs no mapped page of pid ", proc->pid());
-            if (!vpage)
-                continue;
-            const PageTableEntry *pte = space.pageTable.find(*vpage);
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_page_resident",
-                           pte && pte->present, "watched phys line ", pline,
-                           " on a non-resident page");
-            if (proc->swapPolicy_ == SwapWatchPolicy::PinPages) {
-                SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_page_pinned",
-                               pte && pte->pinCount > 0,
-                               "watched phys line ", pline,
-                               " on an unpinned page under PinPages");
-            }
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "watch_vline_translates",
-                           *vpage + (pline - frame) == entry.vline,
-                           "watch entry for phys line ", pline,
-                           " recorded vline ", entry.vline,
-                           " but the frame maps to vpage ", *vpage);
-        }
     }
 
     // The machine-wide aggregate must reconcile the same way.

@@ -28,10 +28,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.h"
@@ -251,12 +249,18 @@ class Kernel
     void setPanicOnHardwareError(bool value);
 
     /**
-     * SimCheck deep audit: per-process TLB/page-table consistency, watch
-     * bookkeeping against syscall history, cross-process frame
+     * SimCheck deep audit: per-process TLB/page-table consistency, the
+     * page-table watch masks against the per-process line count and
+     * syscall history, cross-process frame
      * exclusivity, frame free-list sanity. No-op when auditing is
      * disabled; called periodically by the Machine and by tests.
      */
     void auditInvariants() const;
+
+    /** Seed a watch-index violation for the SimCheck self-tests: flip
+     *  the current process's mask bit for the line of @p vaddr without
+     *  touching its watched-line count. */
+    void testOnlyClobberWatchMask(VirtAddr vaddr);
 
     /** @return machine-wide kernel statistics (sum over processes plus
      *  machine-global events like scrub passes). */

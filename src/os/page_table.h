@@ -5,8 +5,10 @@
  * Maps 4 KiB virtual pages onto physical frames and carries the state the
  * rest of the OS layer needs: an accessibility bit (mprotect/PROT_NONE —
  * the page-protection monitoring baseline), a pin count (ECC watchpoints
- * pin their pages, paper §2.2.2 "Dealing with Page Swapping"), and
- * swap-residency.
+ * pin their pages, paper §2.2.2 "Dealing with Page Swapping"),
+ * swap-residency, and the kernel's watched-line mask. A resident frame
+ * backs exactly one entry of one process, so the mask is also the
+ * frame's: WatchMemory needs no per-line map and no reverse lookup.
  */
 
 #pragma once
@@ -26,7 +28,13 @@ struct PageTableEntry
     bool present = true;     ///< false while swapped out
     bool accessible = true;  ///< false under PROT_NONE
     std::uint32_t pinCount = 0; ///< >0 blocks swapping
+    /** Bit l set: line l of the page (64 B each, 64 per 4 KiB page) is
+     *  ECC-watched. Only resident pages carry bits. */
+    std::uint64_t watchedLines = 0;
 };
+
+static_assert(kPageSize / kCacheLineSize == 64,
+              "PageTableEntry::watchedLines holds one bit per line");
 
 class PageTable
 {

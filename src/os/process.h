@@ -4,7 +4,8 @@
  * to one running program rather than to the machine.
  *
  * A Process owns an AddressSpace (page table, TLB, allocation cursor,
- * swap images), its watched-line set, its registered ECC/SIGSEGV fault
+ * swap images), the count of lines it watches (the lines themselves are
+ * bits in its page-table entries), its registered ECC/SIGSEGV fault
  * handlers and tool access hook, its swap/scrub coordination hooks, and
  * a per-process view of the kernel syscall counters. The Kernel keeps a
  * vector of these plus a current-process pointer; the cache, memory
@@ -171,7 +172,7 @@ class Process
     const StatSet &stats() const { return stats_; }
 
     /** @return number of lines this process currently watches. */
-    std::size_t watchedLineCount() const { return watched_.size(); }
+    std::size_t watchedLineCount() const { return watchedLines_; }
 
     /** @return number of resident frames this process holds in @p bank
      *  (maintained incrementally by the kernel's frame allocator). */
@@ -183,17 +184,13 @@ class Process
   private:
     friend class Kernel;
 
-    struct WatchEntry
-    {
-        VirtAddr vline = 0;
-    };
-
     Pid pid_;
     bool alive_ = true;
     AddressSpace space_;
 
-    /** Watched physical lines owned by this process. */
-    std::unordered_map<PhysAddr, WatchEntry> watched_;
+    /** Lines this process watches: the popcount of every
+     *  PageTableEntry::watchedLines mask in its page table. */
+    std::size_t watchedLines_ = 0;
 
     UserEccHandler eccHandler_;
     UserSegvHandler segvHandler_;

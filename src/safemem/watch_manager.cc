@@ -1,10 +1,88 @@
 #include "safemem/watch_manager.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "check/simcheck.h"
 #include "common/logging.h"
 #include "trace/trace.h"
 
 namespace safemem {
+
+namespace {
+
+/** Slots a table allocates on its first insert. */
+constexpr std::size_t kInitialLineSlots = 64;
+
+/** Cross-check the library and kernel indexes this often. */
+constexpr std::uint32_t kAuditEveryMutations = 256;
+
+bool
+overlaps(VirtAddr base, std::size_t size, VirtAddr other,
+         std::size_t other_size)
+{
+    return base < other + other_size && other < base + size;
+}
+
+} // namespace
+
+std::size_t
+WatchLineTable::probe(VirtAddr line) const
+{
+    std::size_t mask = slots_.size() - 1;
+    std::size_t i = homeOf(line);
+    while (slots_[i].line != line && slots_[i].line != kFree)
+        i = (i + 1) & mask;
+    return i;
+}
+
+WatchLineTable::Slot &
+WatchLineTable::insert(VirtAddr line)
+{
+    if ((size_ + 1) * 4 > slots_.size() * 3)
+        grow();
+    Slot &slot = slots_[probe(line)];
+    if (slot.line == line)
+        panic("WatchLineTable: line ", line, " inserted twice");
+    slot.line = line;
+    ++size_;
+    return slot;
+}
+
+void
+WatchLineTable::erase(VirtAddr line)
+{
+    std::size_t hole = slotOf(line);
+    if (hole == slots_.size())
+        panic("WatchLineTable: erase of absent line ", line);
+    // Backward shift: walk the rest of the probe chain and pull back
+    // each entry whose home does not lie cyclically in (hole, j], so
+    // every remaining key stays reachable from its home without a
+    // tombstone.
+    std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; slots_[j].line != kFree;
+         j = (j + 1) & mask) {
+        if (((j - homeOf(slots_[j].line)) & mask) >= ((j - hole) & mask)) {
+            slots_[hole] = slots_[j];
+            hole = j;
+        }
+    }
+    slots_[hole].line = kFree;
+    --size_;
+}
+
+void
+WatchLineTable::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    std::size_t capacity = old.empty() ? kInitialLineSlots : 2 * old.size();
+    slots_.assign(capacity, Slot{});
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    for (const Slot &slot : old) {
+        if (slot.line != kFree)
+            slots_[probe(slot.line)] = slot;
+    }
+}
 
 EccWatchManager::EccWatchManager(Machine &machine)
     : machine_(machine), scramble_(machine.kernel().scramblePattern()),
@@ -27,6 +105,53 @@ EccWatchManager::installScrubHooks()
         [this](unsigned bank) { scrubHookRestore(bank); });
 }
 
+template <typename Match>
+std::vector<std::uint32_t>
+EccWatchManager::liveRegionsWhere(Match match) const
+{
+    std::vector<std::uint32_t> handles;
+    for (std::uint32_t h = 0; h < regions_.size(); ++h) {
+        if (regions_[h].size != 0 && match(regions_[h]))
+            handles.push_back(h);
+    }
+    std::sort(handles.begin(), handles.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return regions_[a].base < regions_[b].base;
+              });
+    return handles;
+}
+
+void
+EccWatchManager::park(std::uint32_t handle, unsigned tag)
+{
+    const Region &region = regions_[handle];
+    parked_.push_back(ParkedRegion{region, tag});
+    SAFEMEM_TRACE_EMIT(trace_,
+                       tag == kSwapParked ? TraceEvent::WatchSwapPark
+                                          : TraceEvent::WatchScrubPark,
+                       machine_.clock().now(), region.base, region.size);
+    dropRegion(handle);
+}
+
+template <typename Match>
+std::vector<EccWatchManager::Region>
+EccWatchManager::unpark(Match match)
+{
+    // Detach before restoring: watch() consults the parking list for
+    // overlaps, so restoring in place would see each region as
+    // overlapping itself.
+    std::vector<Region> detached;
+    auto keep = parked_.begin();
+    for (const ParkedRegion &parked : parked_) {
+        if (match(parked))
+            detached.push_back(parked.region);
+        else
+            *keep++ = parked;
+    }
+    parked_.erase(keep, parked_.end());
+    return detached;
+}
+
 void
 EccWatchManager::parkAllForScrub(unsigned bank)
 {
@@ -34,7 +159,7 @@ EccWatchManager::parkAllForScrub(unsigned bank)
     // restore(b) strictly nested, so no region parked by bank b may
     // still be waiting when b parks again.
     if (simCheckActive()) {
-        for (const ScrubParkedRegion &parked : scrubParked_) {
+        for (const ParkedRegion &parked : parked_) {
             SIMCHECK_AUDIT(AuditDomain::Kernel, "scrub_park_pairing",
                            parked.bank != bank, "bank ", bank,
                            " parks again while region ",
@@ -46,39 +171,20 @@ EccWatchManager::parkAllForScrub(unsigned bank)
     // clean lines (paper §2.2.2: SafeMem temporarily unmonitors watched
     // regions and blocks the program until scrubbing finishes). Regions
     // wholly in other banks stay live — that is the point of banking.
-    std::vector<VirtAddr> bases;
-    for (const auto &[base, region] : regions_) {
-        if (region.bankMask >> bank & 1)
-            bases.push_back(base);
-    }
-    for (VirtAddr base : bases) {
-        auto it = regions_.find(base);
-        scrubParked_.push_back(ScrubParkedRegion{it->second, bank});
-        SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubPark,
-                           machine_.clock().now(), it->second.base,
-                           it->second.size);
-        dropRegion(it);
-    }
+    for (std::uint32_t handle : liveRegionsWhere([bank](const Region &r) {
+             return r.bankMask >> bank & 1;
+         }))
+        park(handle, bank);
     stats_.add(WatchStat::ScrubUnwatchPasses);
 }
 
 void
 EccWatchManager::restoreAfterScrub(unsigned bank)
 {
-    // Detach this bank's parked regions first — watch() consults the
-    // parking list for overlaps, so restoring in place would see each
-    // region as overlapping itself. Entries parked by other banks'
-    // in-flight passes stay parked.
-    std::vector<Region> restore;
-    std::vector<ScrubParkedRegion> keep;
-    for (ScrubParkedRegion &parked : scrubParked_) {
-        if (parked.bank == bank)
-            restore.push_back(std::move(parked.region));
-        else
-            keep.push_back(std::move(parked));
-    }
-    scrubParked_ = std::move(keep);
-    for (const Region &region : restore) {
+    // Entries parked by other banks' in-flight passes stay parked.
+    for (const Region &region : unpark([bank](const ParkedRegion &p) {
+             return p.bank == bank;
+         })) {
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubRestore,
                            machine_.clock().now(), region.base, region.size);
         watch(region.base, region.size, region.kind, region.cookie);
@@ -92,37 +198,22 @@ EccWatchManager::installSwapHooks()
         [this](VirtAddr vpage) {
             // Pre swap-out: park every watched region that intersects
             // the departing page.
-            std::vector<VirtAddr> bases;
-            for (const auto &[base, region] : regions_) {
-                if (base < vpage + kPageSize &&
-                    base + region.size > vpage)
-                    bases.push_back(base);
-            }
-            for (VirtAddr base : bases) {
-                auto it = regions_.find(base);
-                swapParked_.push_back(it->second);
-                SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchSwapPark,
-                                   machine_.clock().now(), it->second.base,
-                                   it->second.size);
-                dropRegion(it);
+            for (std::uint32_t handle :
+                 liveRegionsWhere([vpage](const Region &r) {
+                     return overlaps(r.base, r.size, vpage, kPageSize);
+                 })) {
+                park(handle, kSwapParked);
                 stats_.add(WatchStat::RegionsSwapParked);
             }
         },
         [this](VirtAddr vpage) {
             // Post swap-in: restore the parked regions of this page.
-            // Detach them from the parking list first — watch()
-            // consults it for overlaps.
-            std::vector<Region> restore;
-            std::vector<Region> keep;
-            for (const Region &region : swapParked_) {
-                if (region.base < vpage + kPageSize &&
-                    region.base + region.size > vpage)
-                    restore.push_back(region);
-                else
-                    keep.push_back(region);
-            }
-            swapParked_ = std::move(keep);
-            for (const Region &region : restore) {
+            for (const Region &region :
+                 unpark([vpage](const ParkedRegion &p) {
+                     return p.bank == kSwapParked &&
+                            overlaps(p.region.base, p.region.size, vpage,
+                                     kPageSize);
+                 })) {
                 SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchSwapRestore,
                                    machine_.clock().now(), region.base,
                                    region.size);
@@ -149,41 +240,33 @@ EccWatchManager::watch(VirtAddr base, std::size_t size, WatchKind kind,
               " is not line aligned");
 
     for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-        if (lineToRegion_.count(base + off))
+        if (lines_.find(base + off))
             panic("EccWatchManager: line ", base + off, " already watched");
     }
-    for (const Region &parked : swapParked_) {
-        if (base < parked.base + parked.size && parked.base < base + size)
-            panic("EccWatchManager: region ", base,
-                  " overlaps a swap-parked watch at ", parked.base);
+    // Parked regions are still logically watched: they come back the
+    // moment their scrub pass ends or their page swaps in, so letting a
+    // new watch overlap one would double-watch on restore.
+    for (const ParkedRegion &parked : parked_) {
+        if (overlaps(base, size, parked.region.base, parked.region.size))
+            panic("EccWatchManager: region ", base, " overlaps a ",
+                  parked.bank == kSwapParked ? "swap" : "scrub",
+                  "-parked watch at ", parked.region.base);
     }
-    // Scrub-parked regions are just as logically watched as swap-parked
-    // ones: they come back the moment the scrub pass finishes, so
-    // letting a new watch overlap one would double-watch on restore.
-    for (const ScrubParkedRegion &parked : scrubParked_) {
-        if (base < parked.region.base + parked.region.size &&
-            parked.region.base < base + size)
-            panic("EccWatchManager: region ", base,
-                  " overlaps a scrub-parked watch at ", parked.region.base);
-    }
-
-    Region region;
-    region.base = base;
-    region.size = size;
-    region.kind = kind;
-    region.cookie = cookie;
 
     // Save the original contents into SafeMem's private memory — the
-    // hardware-error discriminator needs them (§2.2.2).
-    region.originalWords.resize(size / kEccGroupSize);
-    machine_.read(base, region.originalWords.data(), size);
+    // hardware-error discriminator needs them (§2.2.2). The read can
+    // run a scrub pass whose restore re-enters watch(), so the buffer
+    // is taken from scratch_ for the duration, not borrowed.
+    std::vector<std::uint64_t> words = std::move(scratch_);
+    words.resize(size / kEccGroupSize);
+    machine_.read(base, words.data(), size);
 
     machine_.kernel().watchMemory(base, size);
 
     // Record which banks back the region's frames (resident and pinned
     // now that the kernel watch is in): only those banks' scrub passes
     // ever park this region.
-    region.bankMask = 0;
+    Region region{base, size, kind, cookie, 0};
     MemoryController &controller = machine_.controller();
     for (VirtAddr vpage = alignDown(base, kPageSize); vpage < base + size;
          vpage += kPageSize) {
@@ -194,58 +277,68 @@ EccWatchManager::watch(VirtAddr base, std::size_t size, WatchKind kind,
         panic("EccWatchManager: region ", base,
               " has no resident frames after watchMemory");
 
-    for (std::size_t off = 0; off < size; off += kCacheLineSize)
-        lineToRegion_[base + off] = base;
+    std::uint32_t handle;
+    if (freeRegions_.empty()) {
+        handle = static_cast<std::uint32_t>(regions_.size());
+        regions_.push_back(region);
+    } else {
+        handle = freeRegions_.back();
+        freeRegions_.pop_back();
+        regions_[handle] = region;
+    }
+    for (std::size_t off = 0; off < size; off += kCacheLineSize) {
+        WatchLineTable::Slot &slot = lines_.insert(base + off);
+        slot.region = handle;
+        std::copy_n(words.begin() + off / kEccGroupSize, kEccGroupsPerLine,
+                    slot.words.begin());
+    }
+    scratch_ = std::move(words);
     watchedBytes_ += size;
     stats_.add(WatchStat::RegionsWatched);
     stats_.maxOf(WatchStat::PeakWatchedBytes, watchedBytes_);
-    regions_.emplace(base, std::move(region));
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchEstablish,
                        machine_.clock().now(), base, size,
                        static_cast<std::uint64_t>(kind));
+    noteMutation();
 }
 
 void
-EccWatchManager::dropRegion(std::map<VirtAddr, Region>::iterator it)
+EccWatchManager::dropRegion(std::uint32_t handle)
 {
-    const Region &region = it->second;
+    // Copied: the kernel call below may page in, and a swap-in restore
+    // re-enters watch(), which can reallocate regions_.
+    const Region region = regions_[handle];
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchDrop,
                        machine_.clock().now(), region.base, region.size);
     machine_.kernel().disableWatchMemory(region.base, region.size);
     for (std::size_t off = 0; off < region.size; off += kCacheLineSize)
-        lineToRegion_.erase(region.base + off);
+        lines_.erase(region.base + off);
     watchedBytes_ -= region.size;
-    regions_.erase(it);
+    regions_[handle].size = 0;
+    freeRegions_.push_back(handle);
+    noteMutation();
 }
 
 void
 EccWatchManager::unwatch(VirtAddr base)
 {
-    auto it = regions_.find(base);
-    if (it != regions_.end()) {
-        dropRegion(it);
+    const WatchLineTable::Slot *slot = lines_.find(base);
+    if (slot && regions_[slot->region].base == base) {
+        dropRegion(slot->region);
         stats_.add(WatchStat::RegionsUnwatched);
         return;
     }
     // A parked region — swap- or scrub-parked — is still logically
     // watched; cancelling it only removes the parking entry (its lines
     // were already unscrambled when it was parked).
-    for (auto parked = swapParked_.begin(); parked != swapParked_.end();
-         ++parked) {
-        if (parked->base == base) {
-            SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchSwapCancel,
-                               machine_.clock().now(), base);
-            swapParked_.erase(parked);
-            stats_.add(WatchStat::ParkedRegionsCancelled);
-            return;
-        }
-    }
-    for (auto parked = scrubParked_.begin(); parked != scrubParked_.end();
-         ++parked) {
+    for (auto parked = parked_.begin(); parked != parked_.end(); ++parked) {
         if (parked->region.base == base) {
-            SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubCancel,
+            SAFEMEM_TRACE_EMIT(trace_,
+                               parked->bank == kSwapParked
+                                   ? TraceEvent::WatchSwapCancel
+                                   : TraceEvent::WatchScrubCancel,
                                machine_.clock().now(), base);
-            scrubParked_.erase(parked);
+            parked_.erase(parked);
             stats_.add(WatchStat::ParkedRegionsCancelled);
             return;
         }
@@ -256,25 +349,52 @@ EccWatchManager::unwatch(VirtAddr base)
 bool
 EccWatchManager::isWatched(VirtAddr base) const
 {
-    if (regions_.count(base) != 0)
+    const WatchLineTable::Slot *slot = lines_.find(base);
+    if (slot && regions_[slot->region].base == base)
         return true;
-    for (const Region &region : swapParked_) {
-        if (region.base == base)
-            return true;
+    return std::any_of(parked_.begin(), parked_.end(),
+                       [base](const ParkedRegion &parked) {
+                           return parked.region.base == base;
+                       });
+}
+
+void
+EccWatchManager::noteMutation()
+{
+    if (!simCheckActive())
+        return;
+    if (++mutationsSinceAudit_ >= kAuditEveryMutations) {
+        mutationsSinceAudit_ = 0;
+        auditInvariants();
     }
-    for (const ScrubParkedRegion &parked : scrubParked_) {
-        if (parked.region.base == base)
-            return true;
-    }
-    return false;
+}
+
+void
+EccWatchManager::auditInvariants() const
+{
+    if (!simCheckActive())
+        return;
+    const Kernel &kernel = machine_.kernel();
+    lines_.forEach([&](const WatchLineTable::Slot &slot) {
+        SIMCHECK_AUDIT(AuditDomain::Kernel, "watch_table_line_watched",
+                       kernel.isWatched(slot.line), "library watches line ",
+                       slot.line, " of region ", regions_[slot.region].base,
+                       " but pid ", kernel.currentPid(),
+                       "'s kernel mask does not");
+    });
+    SIMCHECK_AUDIT(AuditDomain::Kernel, "watch_table_count_matches",
+                   lines_.size() == kernel.watchedLineCount(),
+                   "library table holds ", lines_.size(),
+                   " lines but pid ", kernel.currentPid(), " watches ",
+                   kernel.watchedLineCount());
 }
 
 FaultDecision
 EccWatchManager::onEccFault(const UserEccFault &fault)
 {
     VirtAddr vline = alignDown(fault.vaddr, kCacheLineSize);
-    auto line_it = lineToRegion_.find(vline);
-    if (line_it == lineToRegion_.end()) {
+    const WatchLineTable::Slot *slot = lines_.find(vline);
+    if (!slot) {
         // Not one of ours: a genuine hardware error somewhere else.
         if (inRepair_)
             panic("EccWatchManager: nested ECC fault at line ", vline,
@@ -286,10 +406,8 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
         return FaultDecision::HardwareError;
     }
 
-    auto it = regions_.find(line_it->second);
-    if (it == regions_.end())
-        panic("EccWatchManager: dangling line->region mapping");
-    const Region &region = it->second;
+    const std::uint32_t handle = slot->region;
+    const Region region = regions_[handle];
 
     // Everything from here on is monitoring work, not application work.
     CostScope scope(machine_.clock(),
@@ -301,14 +419,11 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
     // against memory: a mismatch means a real hardware error struck the
     // watched line (§2.2.2).
     MemoryController &controller = machine_.controller();
-    std::size_t first_word = (vline - region.base) / kEccGroupSize;
     bool signature_intact = true;
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
         std::uint64_t current = controller.peekWord(
             alignDown(fault.lineAddr, kCacheLineSize) + i * kEccGroupSize);
-        std::uint64_t expected =
-            scramble_.apply(region.originalWords[first_word + i]);
-        if (current != expected) {
+        if (current != scramble_.apply(slot->words[i])) {
             signature_intact = false;
             break;
         }
@@ -325,8 +440,13 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
             panic("EccWatchManager: nested hardware fault inside the "
                   "repair path at line ", vline);
         inRepair_ = true;
-        Region saved = region;
-        dropRegion(it);
+        std::vector<std::uint64_t> original;
+        original.reserve(region.size / kEccGroupSize);
+        for (std::size_t off = 0; off < region.size; off += kCacheLineSize) {
+            const auto &words = lines_.find(region.base + off)->words;
+            original.insert(original.end(), words.begin(), words.end());
+        }
+        dropRegion(handle);
         // Repair through the device-op path: writeWordDeviceOp rewrites
         // each word with freshly encoded check bytes without any cache
         // traffic. A machine_.write() here would write-allocate, and the
@@ -334,22 +454,21 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
         // through the controller — a nested ECC fault inside the fault
         // handler (the inRepair_ guard above turns that into a panic
         // rather than unbounded recursion).
-        MemoryController &controller_ref = machine_.controller();
         Kernel &kernel = machine_.kernel();
-        for (std::size_t off = 0; off < saved.size; off += kCacheLineSize) {
-            PhysAddr pline = kernel.translate(saved.base + off);
+        for (std::size_t off = 0; off < region.size; off += kCacheLineSize) {
+            PhysAddr pline = kernel.translate(region.base + off);
             // The region's lines cannot be cache-resident (watchMemory
             // flushed them and faulted fills never install), but flush
             // defensively so a stale copy can never shadow the repair.
             machine_.cache().flushLine(pline);
             for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-                controller_ref.writeWordDeviceOp(
+                controller.writeWordDeviceOp(
                     pline + i * kEccGroupSize,
-                    saved.originalWords[off / kEccGroupSize + i]);
+                    original[off / kEccGroupSize + i]);
         }
         inRepair_ = false;
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchRepairDone,
-                           machine_.clock().now(), saved.base, saved.size);
+                           machine_.clock().now(), region.base, region.size);
         return FaultDecision::HardwareError;
     }
 
@@ -359,10 +478,9 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchFaultAccess,
                        machine_.clock().now(), vline, region.base,
                        fault.isWrite ? 1 : 0);
-    Region saved = region;
-    dropRegion(it);
+    dropRegion(handle);
     if (callback_)
-        callback_(saved.base, saved.kind, saved.cookie, vline,
+        callback_(region.base, region.kind, region.cookie, vline,
                   fault.isWrite);
     return FaultDecision::Handled;
 }

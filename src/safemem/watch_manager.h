@@ -9,6 +9,9 @@
  *  - keep a private copy of each watched line's original contents, used
  *    to recompute the scramble signature and tell access faults apart
  *    from genuine hardware ECC errors (§2.2.2 "Data Scrambling");
+ *  - index the watched lines: one open-addressed table maps each line
+ *    to its saved words and its region's record, so lookups by region
+ *    base and by faulting line are one probe each;
  *  - dispatch verified access faults to the owning detector through the
  *    WatchFaultCallback, after disabling the watch (only the first
  *    access matters, §2.2.1);
@@ -19,9 +22,8 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -59,6 +61,85 @@ inline constexpr const char *kWatchStatNames[] = {
     "foreign_faults",
     "hardware_errors_detected",
     "access_faults",
+};
+
+/**
+ * The library's line index: an open-addressed hash table from a watched
+ * line's virtual address to the line's original words and the handle of
+ * its region record. Linear probing over a power-of-two capacity,
+ * Fibonacci hashing of the line number, and backward-shift deletion, so
+ * there are no tombstones and probe chains never degrade. It doubles at
+ * 3/4 load and starts with no storage, so an idle manager allocates
+ * nothing.
+ */
+class WatchLineTable
+{
+  public:
+    /** Marks a free slot; never line aligned, so never a key. */
+    static constexpr VirtAddr kFree = ~VirtAddr{0};
+
+    struct Slot
+    {
+        VirtAddr line = kFree;
+        /** Index of the owning region's record. */
+        std::uint32_t region = 0;
+        /** The line's original data, one word per ECC group. */
+        std::array<std::uint64_t, kEccGroupsPerLine> words{};
+    };
+
+    /** @return the slot holding @p line, or nullptr. */
+    const Slot *find(VirtAddr line) const
+    {
+        std::size_t i = slotOf(line);
+        return i == capacity() ? nullptr : &slots_[i];
+    }
+
+    /** Claim a slot for @p line (must be absent); may grow the table,
+     *  invalidating earlier slot pointers. */
+    Slot &insert(VirtAddr line);
+
+    /** Remove @p line (must be present), shifting its probe chain back. */
+    void erase(VirtAddr line);
+
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return slots_.size(); }
+
+    /** @return the slot @p line's probe starts at (capacity() > 0). */
+    std::size_t homeOf(VirtAddr line) const
+    {
+        return static_cast<std::size_t>(
+            (line / kCacheLineSize) * 0x9E3779B97F4A7C15ull >> shift_);
+    }
+
+    /** @return the index of the slot holding @p line, or capacity(). */
+    std::size_t slotOf(VirtAddr line) const
+    {
+        if (slots_.empty())
+            return 0;
+        std::size_t i = probe(line);
+        return slots_[i].line == line ? i : capacity();
+    }
+
+    /** Visit every occupied slot. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Slot &slot : slots_)
+            if (slot.line != kFree)
+                fn(slot);
+    }
+
+  private:
+    /** @return the slot holding @p line, else the free slot ending its
+     *  probe chain. */
+    std::size_t probe(VirtAddr line) const;
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    /** 64 - log2(capacity): keeps the hash's top bits. */
+    unsigned shift_ = 64;
 };
 
 class EccWatchManager : public WatchBackend
@@ -111,7 +192,10 @@ class EccWatchManager : public WatchBackend
                std::uint64_t cookie) override;
     void unwatch(VirtAddr base) override;
     bool isWatched(VirtAddr base) const override;
-    std::size_t regionCount() const override { return regions_.size(); }
+    std::size_t regionCount() const override
+    {
+        return regions_.size() - freeRegions_.size();
+    }
     std::uint64_t watchedBytes() const override { return watchedBytes_; }
     const StatSet &stats() const override { return stats_; }
     /// @}
@@ -123,30 +207,63 @@ class EccWatchManager : public WatchBackend
      */
     FaultDecision onEccFault(const UserEccFault &fault);
 
+    /** @return the line index (inspection in tests). */
+    const WatchLineTable &lineTable() const { return lines_; }
+
+    /**
+     * SimCheck cross-check of the library's index against the kernel's:
+     * every line in the table is kernel-watched at its translation, and
+     * the table holds exactly as many lines as the kernel counts for
+     * the current process. Must run in the owning process's context;
+     * runs automatically every few hundred watch mutations.
+     */
+    void auditInvariants() const;
+
   private:
+    /** One watched region's record, stored once; its lines' table
+     *  slots refer to it by index. A size of 0 marks a free record. */
     struct Region
     {
         VirtAddr base = 0;
         std::size_t size = 0;
         WatchKind kind = WatchKind::LeakSuspect;
         std::uint64_t cookie = 0;
-        /** Private copy of the original data (one word per ECC group). */
-        std::vector<std::uint64_t> originalWords;
         /** Banks backing the region's frames at watch() time — the
          *  banks whose scrub passes must park this region. */
         std::uint64_t bankMask = 1;
     };
 
-    /** A region lifted for a scrub pass, tagged with the bank whose
-     *  pass parked it (its restore key). */
-    struct ScrubParkedRegion
+    /** Tag of a region parked by a swap-out rather than a scrub pass. */
+    static constexpr unsigned kSwapParked = ~0u;
+
+    /** A region lifted for a scrub pass or a swap-out. Metadata only:
+     *  restoring calls watch(), which re-reads the words from memory. */
+    struct ParkedRegion
     {
         Region region;
+        /** The bank whose scrub pass parked it (its restore key), or
+         *  kSwapParked: then any swap-in of a page it overlaps
+         *  restores it. */
         unsigned bank = 0;
     };
 
-    /** Remove @p region's kernel watches and bookkeeping. */
-    void dropRegion(std::map<VirtAddr, Region>::iterator it);
+    /** @return handles of the live regions @p match selects, in
+     *  ascending base order (the order park records are emitted in). */
+    template <typename Match>
+    std::vector<std::uint32_t> liveRegionsWhere(Match match) const;
+
+    /** Park region @p handle under @p tag (a bank or kSwapParked). */
+    void park(std::uint32_t handle, unsigned tag);
+
+    /** Detach the parked regions @p match selects, in parking order. */
+    template <typename Match>
+    std::vector<Region> unpark(Match match);
+
+    /** Remove region @p handle's kernel watches and bookkeeping. */
+    void dropRegion(std::uint32_t handle);
+
+    /** Run auditInvariants() every few hundred mutations. */
+    void noteMutation();
 
     /**
      * @name Kernel scrub-hook trampolines
@@ -177,19 +294,23 @@ class EccWatchManager : public WatchBackend
      *  repair itself pulled the bad line through the controller. */
     bool inRepair_ = false;
 
-    /** Watched regions keyed by base address. */
-    std::map<VirtAddr, Region> regions_;
-    /** Line address -> owning region base. */
-    std::unordered_map<VirtAddr, VirtAddr> lineToRegion_;
+    /** Every watched line, keyed by virtual line address. */
+    WatchLineTable lines_;
+    /** Region records, indexed by handle; freed records are reused. */
+    std::vector<Region> regions_;
+    std::vector<std::uint32_t> freeRegions_;
 
     /** Compile-time face of the park/restore pairing discipline. */
     Capability scrubPark_;
-    /** Regions temporarily lifted for a bank's scrub pass. */
-    std::vector<ScrubParkedRegion> scrubParked_;
-    /** Regions parked while their page is swapped out. */
-    std::vector<Region> swapParked_;
+    /** Regions lifted for a bank's scrub pass or a page's swap-out. */
+    std::vector<ParkedRegion> parked_;
+
+    /** Reused buffer for the words watch() saves. A nested watch()
+     *  (a scrub restore inside the read that fills it) takes its own. */
+    std::vector<std::uint64_t> scratch_;
 
     std::uint64_t watchedBytes_ = 0;
+    std::uint32_t mutationsSinceAudit_ = 0;
     StatSet stats_{kWatchStatNames};
 };
 

@@ -45,9 +45,10 @@ getScalar(std::istream &is, T &value)
     return static_cast<bool>(is);
 }
 
-/// JSON string escaping for section labels (quotes, backslashes and
-/// control characters; labels are app/tool names so this is all they
-/// can ever need).
+/// JSON string escaping for section labels: quotes, backslashes, and
+/// every byte outside printable ASCII (controls, DEL, bytes >= 0x80) as
+/// \u00XX. A label read back from a corrupted trace file may hold any
+/// byte; a raw byte >= 0x80 is not UTF-8, so the line would not be JSON.
 std::string
 jsonEscape(const std::string &text)
 {
@@ -61,15 +62,17 @@ jsonEscape(const std::string &text)
         case '\\':
             out += "\\\\";
             break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
+        default: {
+            auto byte = static_cast<unsigned char>(ch);
+            if (byte < 0x20 || byte >= 0x7f) {
                 char buf[8];
                 std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(ch));
+                              static_cast<unsigned>(byte));
                 out += buf;
             } else {
                 out += ch;
             }
+        }
         }
     }
     return out;

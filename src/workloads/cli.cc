@@ -1,10 +1,12 @@
 #include "workloads/cli.h"
 
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "check/simcheck.h"
+#include "common/parse.h"
 #include "mem/bank.h"
 #include "trace/trace.h"
 #include "workloads/report_writer.h"
@@ -106,6 +108,22 @@ parseCliArguments(const std::vector<std::string> &args)
         }
         return &args[i++];
     };
+    // A flag's value as a whole unsigned count no larger than @p max;
+    // on anything else, the message is set and nothing is returned.
+    auto need_count = [&](const std::string &flag, std::uint64_t max)
+        -> std::optional<std::uint64_t> {
+        const std::string *value = need_value(flag);
+        if (!value)
+            return std::nullopt;
+        std::optional<std::uint64_t> count = parseCount(*value, max);
+        if (!count)
+            result.message = flag + " needs a whole number up to " +
+                             std::to_string(max) + ", not '" + *value +
+                             "'\n\n" + cliUsage();
+        return count;
+    };
+    constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
     if (options.campaign) {
         while (i < args.size()) {
@@ -116,6 +134,21 @@ parseCliArguments(const std::vector<std::string> &args)
                     "unknown campaign option '" + arg + "'\n\n" +
                     cliUsage();
                 return result;
+            }
+            if (arg == "--samples" || arg == "--seed" ||
+                arg == "--workers") {
+                auto count =
+                    need_count(arg, arg == "--workers" ? kMaxU32 : kMaxU64);
+                if (!count)
+                    return result;
+                if (arg == "--samples")
+                    options.campaignConfig.samples = *count;
+                else if (arg == "--seed")
+                    options.campaignConfig.seed = *count;
+                else
+                    options.campaignConfig.workers =
+                        static_cast<unsigned>(*count);
+                continue;
             }
             const std::string *value = need_value(arg);
             if (!value)
@@ -128,14 +161,7 @@ parseCliArguments(const std::vector<std::string> &args)
                     return result;
                 }
                 options.campaignConfig.codecs.push_back(*spec);
-            } else if (arg == "--samples") {
-                options.campaignConfig.samples = std::stoull(*value);
-            } else if (arg == "--seed") {
-                options.campaignConfig.seed = std::stoull(*value);
-            } else if (arg == "--workers") {
-                options.campaignConfig.workers =
-                    static_cast<unsigned>(std::stoul(*value));
-            } else if (arg == "--out") {
+            } else {
                 options.campaignOut = *value;
             }
         }
@@ -168,15 +194,15 @@ parseCliArguments(const std::vector<std::string> &args)
             }
             options.tool = *kind;
         } else if (arg == "--requests") {
-            const std::string *value = need_value("--requests");
-            if (!value)
+            auto count = need_count(arg, kMaxU64);
+            if (!count)
                 return result;
-            options.params.requests = std::stoull(*value);
+            options.params.requests = *count;
         } else if (arg == "--seed") {
-            const std::string *value = need_value("--seed");
-            if (!value)
+            auto count = need_count(arg, kMaxU64);
+            if (!count)
                 return result;
-            options.params.seed = std::stoull(*value);
+            options.params.seed = *count;
         } else if (arg == "--sample-rate") {
             const std::string *value = need_value("--sample-rate");
             if (!value)
@@ -222,28 +248,25 @@ parseCliArguments(const std::vector<std::string> &args)
             }
             options.params.geometry = *geometry;
         } else if (arg == "--workers") {
-            const std::string *value = need_value("--workers");
-            if (!value)
+            auto count = need_count(arg, kMaxU32);
+            if (!count)
                 return result;
-            options.workers =
-                static_cast<unsigned>(std::stoul(*value));
+            options.workers = static_cast<unsigned>(*count);
         } else if (arg == "--procs") {
-            const std::string *value = need_value("--procs");
-            if (!value)
+            auto count = need_count(arg, kMaxU32);
+            if (!count)
                 return result;
-            options.procs =
-                static_cast<std::uint32_t>(std::stoul(*value));
+            options.procs = static_cast<std::uint32_t>(*count);
             if (options.procs < 1) {
                 result.message =
                     "--procs needs at least 1\n\n" + cliUsage();
                 return result;
             }
         } else if (arg == "--banks") {
-            const std::string *value = need_value("--banks");
-            if (!value)
+            auto count = need_count(arg, kMaxU32);
+            if (!count)
                 return result;
-            options.params.banks =
-                static_cast<std::uint32_t>(std::stoul(*value));
+            options.params.banks = static_cast<std::uint32_t>(*count);
             if (options.params.banks < 1 ||
                 options.params.banks > kMaxMemoryBanks) {
                 result.message = "--banks needs 1-" +
@@ -313,20 +336,22 @@ traceLabel(const RunSpec &spec)
 
 } // namespace
 
-std::string
+CliReport
 runCli(const CliOptions &options)
 {
     if (options.campaign) {
         CampaignResult campaign = runCampaign(options.campaignConfig);
-        std::string report = formatCampaignReport(campaign);
+        CliReport report{formatCampaignReport(campaign)};
         if (!options.campaignOut.empty()) {
             std::ofstream file(options.campaignOut);
             if (!file) {
-                report += "cannot write campaign file '" +
-                          options.campaignOut + "'\n";
+                report.text += "cannot write campaign file '" +
+                               options.campaignOut + "'\n";
+                report.ok = false;
             } else {
                 file << campaignJson(campaign);
-                report += "campaign json -> " + options.campaignOut + "\n";
+                report.text +=
+                    "campaign json -> " + options.campaignOut + "\n";
             }
         }
         return report;
@@ -354,20 +379,24 @@ runCli(const CliOptions &options)
     std::vector<MatrixCell> cells = runMatrix(specs, options.workers);
 
     std::ostringstream os;
+    bool ok = true;
     for (std::size_t i = 0; i < cells.size(); i += per_app) {
         const MatrixCell &cell = cells[i];
         if (!cell.ok()) {
             os << cell.spec.app << ": run failed: " << cell.error << "\n";
+            ok = false;
             continue;
         }
         os << formatRunSummary(cell.result);
         if (baseline) {
             const MatrixCell &base = cells[i + 1];
-            if (base.ok())
+            if (base.ok()) {
                 os << "  " << formatOverhead(cell.result, base.result)
                    << "\n";
-            else
+            } else {
                 os << "  baseline run failed: " << base.error << "\n";
+                ok = false;
+            }
         }
         if (options.dumpStats)
             os << "\ncounters:\n"
@@ -379,6 +408,7 @@ runCli(const CliOptions &options)
         if (!file) {
             os << "cannot write trace file '" << options.traceFile
                << "'\n";
+            ok = false;
         } else {
             for (std::size_t i = 0; i < specs.size(); ++i)
                 writeTraceSection(file, *traces[i],
@@ -388,7 +418,7 @@ runCli(const CliOptions &options)
                << options.traceFile << "\n";
         }
     }
-    return os.str();
+    return CliReport{os.str(), ok};
 }
 
 } // namespace safemem

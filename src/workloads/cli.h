@@ -50,7 +50,16 @@ std::optional<ToolKind> toolKindFromName(const std::string &name);
 /** @return the usage text. */
 std::string cliUsage();
 
+/** What runCli() produced. */
+struct CliReport
+{
+    std::string text; ///< the formatted report
+    /** False when any run or baseline cell failed, or an output file
+     *  could not be written; safemem_run then exits non-zero. */
+    bool ok = true;
+};
+
 /** Execute the parsed run(s) and return the formatted report. */
-std::string runCli(const CliOptions &options);
+CliReport runCli(const CliOptions &options);
 
 } // namespace safemem

@@ -7,7 +7,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
+#include "common/parse.h"
+#include "ecc/codec.h"
 #include "trace/trace.h"
 #include "workloads/cli.h"
 #include "workloads/report_writer.h"
@@ -123,7 +126,7 @@ TEST(Cli, EndToEndTraceFileHoldsOneSectionPerRun)
     CliParse parse = parseCliArguments({"gzip", "--requests", "20",
                                         "--overhead", "--trace", path});
     ASSERT_TRUE(parse.options.has_value());
-    std::string report = runCli(*parse.options);
+    std::string report = runCli(*parse.options).text;
     EXPECT_NE(report.find("trace: 2 run sections -> " + path),
               std::string::npos);
 
@@ -141,6 +144,110 @@ TEST(Cli, EndToEndTraceFileHoldsOneSectionPerRun)
         EXPECT_FALSE(sections[0].records.empty());
     }
     std::remove(path.c_str());
+}
+
+TEST(Cli, ParseCountTakesOnlyWholeUnsignedNumbers)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(parseCount("0", kMax), 0u);
+    EXPECT_EQ(parseCount("20000", kMax), 20000u);
+    EXPECT_EQ(parseCount("18446744073709551615", kMax), kMax);
+    EXPECT_EQ(parseCount("64", 64), 64u);
+    for (const char *bad : {"", "-1", "+3", " 7", "7 ", "5x", "0x10", "1e3",
+                            "18446744073709551616",
+                            "99999999999999999999"})
+        EXPECT_FALSE(parseCount(bad, kMax).has_value()) << "'" << bad << "'";
+    EXPECT_FALSE(parseCount("65", 64).has_value());
+}
+
+TEST(Cli, NumericFlagsRejectSignsJunkAndOverflow)
+{
+    // Each of these once wrapped (-1 -> 2^64-1 requests), threw an
+    // uncaught std::out_of_range, or silently dropped trailing junk.
+    for (const char *flag :
+         {"--requests", "--seed", "--workers", "--procs", "--banks"}) {
+        for (const char *bad :
+             {"-1", "5x", "+2", "", "99999999999999999999"}) {
+            CliParse parse = parseCliArguments({"gzip", flag, bad});
+            EXPECT_FALSE(parse.options.has_value()) << flag << " " << bad;
+            EXPECT_NE(parse.message.find(std::string(flag) +
+                                         " needs a whole number"),
+                      std::string::npos)
+                << flag << " " << bad;
+            EXPECT_NE(parse.message.find("usage:"), std::string::npos);
+        }
+    }
+    // 32-bit flags refuse what their field cannot hold instead of
+    // truncating it (2^32 + 1 banks once became 1 bank).
+    for (const char *flag : {"--workers", "--procs", "--banks"})
+        EXPECT_FALSE(
+            parseCliArguments({"gzip", flag, "4294967297"}).options)
+            << flag;
+    for (const char *flag : {"--samples", "--seed", "--workers"}) {
+        for (const char *bad : {"-1", "5x", "99999999999999999999"})
+            EXPECT_FALSE(
+                parseCliArguments({"campaign", flag, bad}).options)
+                << flag << " " << bad;
+    }
+
+    CliParse big = parseCliArguments(
+        {"gzip", "--seed", "18446744073709551615", "--requests", "0"});
+    ASSERT_TRUE(big.options.has_value());
+    EXPECT_EQ(big.options->params.seed,
+              std::numeric_limits<std::uint64_t>::max());
+    // 0 still means the app's default request count.
+    EXPECT_EQ(big.options->params.requests, defaultRequests("gzip"));
+
+    CliParse campaign = parseCliArguments(
+        {"campaign", "--samples", "400", "--seed", "11", "--workers", "4"});
+    ASSERT_TRUE(campaign.options.has_value());
+    EXPECT_EQ(campaign.options->campaignConfig.samples, 400u);
+    EXPECT_EQ(campaign.options->campaignConfig.seed, 11u);
+    EXPECT_EQ(campaign.options->campaignConfig.workers, 4u);
+}
+
+TEST(Cli, CodecDimensionsMustBeWholeNumbers)
+{
+    for (const char *bad : {"hsiao:64/8x", "hsiao:64x", "hsiao:+64",
+                            "hsiao: 64", "hsiao:64/", "hsiao:/8",
+                            "hsiao:-8", "hsiao:99999999999999999999"}) {
+        EXPECT_FALSE(parseCliArguments({"gzip", "--codec", bad}).options)
+            << bad;
+        EXPECT_FALSE(parseCodecSpec(bad).has_value()) << bad;
+    }
+    auto spec = parseCodecSpec("hsiao:64/8");
+    ASSERT_TRUE(spec.has_value());
+    EXPECT_EQ(spec->dataBits, 64);
+    EXPECT_EQ(spec->checkBits, 8);
+    auto auto_sized = parseCodecSpec("hsiao:32");
+    ASSERT_TRUE(auto_sized.has_value());
+    EXPECT_EQ(auto_sized->dataBits, 32);
+    EXPECT_EQ(auto_sized->checkBits, 0);
+}
+
+TEST(Cli, FailedRunsMakeTheReportFail)
+{
+    // A codec that cannot host a scramble signature panics the kernel
+    // at boot, so both the instrumented run and its baseline fail.
+    CliParse parse = parseCliArguments({"gzip", "--codec", "hamming64/8",
+                                        "--requests", "5", "--overhead"});
+    ASSERT_TRUE(parse.options.has_value());
+    CliReport report = runCli(*parse.options);
+    EXPECT_FALSE(report.ok);
+    EXPECT_NE(report.text.find("gzip: run failed:"), std::string::npos);
+
+    CliParse clean = parseCliArguments({"gzip", "--requests", "5"});
+    ASSERT_TRUE(clean.options.has_value());
+    EXPECT_TRUE(runCli(*clean.options).ok);
+
+    // An unwritable trace file fails the report too.
+    CliParse trace = parseCliArguments(
+        {"gzip", "--requests", "5", "--trace", "no_such_dir/cli.bin"});
+    ASSERT_TRUE(trace.options.has_value());
+    CliReport traced = runCli(*trace.options);
+    EXPECT_FALSE(traced.ok);
+    EXPECT_NE(traced.text.find("cannot write trace file"),
+              std::string::npos);
 }
 
 TEST(Cli, UnknownFlagRejected)
@@ -163,7 +270,7 @@ TEST(Cli, EndToEndBuggyRunReportsTheBug)
     CliParse parse = parseCliArguments(
         {"tar", "--buggy", "--requests", "120"});
     ASSERT_TRUE(parse.options.has_value());
-    std::string report = runCli(*parse.options);
+    std::string report = runCli(*parse.options).text;
     EXPECT_NE(report.find("BUG DETECTED"), std::string::npos);
     EXPECT_NE(report.find("memory corruption"), std::string::npos);
 }
@@ -173,9 +280,10 @@ TEST(Cli, EndToEndCleanRun)
     CliParse parse =
         parseCliArguments({"gzip", "--requests", "20", "--overhead"});
     ASSERT_TRUE(parse.options.has_value());
-    std::string report = runCli(*parse.options);
-    EXPECT_NE(report.find("clean run"), std::string::npos);
-    EXPECT_NE(report.find("overhead"), std::string::npos);
+    CliReport report = runCli(*parse.options);
+    EXPECT_TRUE(report.ok);
+    EXPECT_NE(report.text.find("clean run"), std::string::npos);
+    EXPECT_NE(report.text.find("overhead"), std::string::npos);
 }
 
 TEST(Cli, EndToEndAllSweepCoversEveryApp)
@@ -183,7 +291,7 @@ TEST(Cli, EndToEndAllSweepCoversEveryApp)
     CliParse parse = parseCliArguments(
         {"all", "--requests", "40", "--workers", "2"});
     ASSERT_TRUE(parse.options.has_value());
-    std::string report = runCli(*parse.options);
+    std::string report = runCli(*parse.options).text;
     for (const std::string &app : appNames())
         EXPECT_NE(report.find("=== " + app + " under"),
                   std::string::npos)

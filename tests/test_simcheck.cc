@@ -14,6 +14,7 @@
 #include "check/simcheck.h"
 #include "common/logging.h"
 #include "os/machine.h"
+#include "safemem/watch_manager.h"
 
 namespace safemem {
 namespace {
@@ -123,6 +124,48 @@ TEST(SimCheck, CleanMachineStatePassesDeepAudits)
     machine.kernel().disableWatchMemory(buf, 2 * kCacheLineSize);
     machine.auditNow();
     EXPECT_EQ(guard.count(), 0u);
+}
+
+TEST(SimCheck, SeededWatchMaskClobberIsReported)
+{
+    Machine machine;
+    Kernel &kernel = machine.kernel();
+    VirtAddr buf = kernel.mapRegion(kPageSize);
+    kernel.watchMemory(buf, 2 * kCacheLineSize);
+
+    CollectViolations guard;
+    machine.auditNow();
+    ASSERT_EQ(guard.count(), 0u) << "healthy watch masks must audit clean";
+
+    // A mask bit the per-process count never heard of: the masks no
+    // longer add up, while the count still matches the history.
+    kernel.testOnlyClobberWatchMask(buf + 5 * kCacheLineSize);
+    machine.auditNow();
+    EXPECT_TRUE(guard.sawInvariant("watch_mask_matches_count"));
+    EXPECT_FALSE(guard.sawInvariant("watch_count_matches_history"));
+
+    kernel.testOnlyClobberWatchMask(buf + 5 * kCacheLineSize);
+    kernel.disableWatchMemory(buf, 2 * kCacheLineSize);
+}
+
+TEST(SimCheck, LibraryKernelWatchDisagreementIsReported)
+{
+    Machine machine;
+    EccWatchManager manager(machine);
+    VirtAddr buf = machine.kernel().mapRegion(kPageSize);
+    manager.watch(buf, 2 * kCacheLineSize, WatchKind::GuardRear, 1);
+
+    CollectViolations guard;
+    manager.auditInvariants();
+    ASSERT_EQ(guard.count(), 0u) << "agreeing indexes must audit clean";
+
+    // Lift one line behind the library's back: its table still holds
+    // the line, and it counts one line more than the kernel.
+    machine.kernel().disableWatchMemory(buf + kCacheLineSize,
+                                        kCacheLineSize);
+    manager.auditInvariants();
+    EXPECT_TRUE(guard.sawInvariant("watch_table_line_watched"));
+    EXPECT_TRUE(guard.sawInvariant("watch_table_count_matches"));
 }
 
 TEST(SimCheck, SeededFreeListCorruptionIsReported)

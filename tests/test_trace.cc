@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,119 @@
 
 namespace safemem {
 namespace {
+
+/**
+ * Minimal JSON syntax checker for the exporter's lines: objects, arrays,
+ * strings (with every escape form), numbers and literals. Returns true
+ * when all of @p text is exactly one JSON value. Raw bytes >= 0x80 are
+ * refused: the exporter must emit pure ASCII.
+ */
+class JsonChecker
+{
+  public:
+    explicit JsonChecker(const std::string &text) : text_(text) {}
+
+    bool
+    valid()
+    {
+        return value() && pos_ == text_.size();
+    }
+
+  private:
+    bool
+    eat(char ch)
+    {
+        if (pos_ < text_.size() && text_[pos_] == ch) {
+            ++pos_;
+            return true;
+        }
+        return false;
+    }
+
+    bool
+    value()
+    {
+        if (pos_ >= text_.size())
+            return false;
+        char ch = text_[pos_];
+        if (ch == '{')
+            return members('}', true);
+        if (ch == '[')
+            return members(']', false);
+        if (ch == '"')
+            return quoted();
+        for (const char *word : {"true", "false", "null"}) {
+            if (text_.compare(pos_, std::strlen(word), word) == 0) {
+                pos_ += std::strlen(word);
+                return true;
+            }
+        }
+        return number();
+    }
+
+    bool
+    members(char close, bool object)
+    {
+        ++pos_;
+        if (eat(close))
+            return true;
+        do {
+            if (object && !(quoted() && eat(':')))
+                return false;
+            if (!value())
+                return false;
+        } while (eat(','));
+        return eat(close);
+    }
+
+    bool
+    quoted()
+    {
+        if (!eat('"'))
+            return false;
+        while (pos_ < text_.size()) {
+            auto ch = static_cast<unsigned char>(text_[pos_++]);
+            if (ch == '"')
+                return true;
+            if (ch < 0x20 || ch >= 0x80)
+                return false;
+            if (ch != '\\')
+                continue;
+            if (pos_ >= text_.size())
+                return false;
+            char esc = text_[pos_++];
+            if (esc == 'u') {
+                for (int i = 0; i < 4; ++i) {
+                    if (pos_ >= text_.size() ||
+                        !std::isxdigit(
+                            static_cast<unsigned char>(text_[pos_++])))
+                        return false;
+                }
+            } else if (std::string("\"\\/bfnrt").find(esc) ==
+                       std::string::npos) {
+                return false;
+            }
+        }
+        return false;
+    }
+
+    bool
+    number()
+    {
+        std::size_t start = pos_;
+        eat('-');
+        while (pos_ < text_.size() &&
+               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+                std::string(".eE+-").find(text_[pos_]) !=
+                    std::string::npos))
+            ++pos_;
+        return pos_ > start &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_ - 1]));
+    }
+
+    const std::string &text_;
+    std::size_t pos_ = 0;
+};
 
 TEST(Trace, RingWrapKeepsNewestRecords)
 {
@@ -172,6 +287,39 @@ TEST(Trace, JsonLinesCarryAbsoluteSequenceNumbers)
               std::string::npos);
     EXPECT_NE(line.find("\"a\":4"), std::string::npos);
     EXPECT_EQ(line.find('\n'), std::string::npos);
+}
+
+TEST(Trace, CorruptedLabelByteStillExportsAsciiJson)
+{
+    Trace trace(16);
+    trace.emit(TraceEvent::WatchDrop, 7, 0x1000, 64);
+    std::stringstream stream(std::ios::in | std::ios::out |
+                             std::ios::binary);
+    writeTraceSection(stream, trace, "gzip/safemem");
+
+    // Flip the label's '/' to a byte that is not UTF-8 on its own.
+    std::string bytes = stream.str();
+    std::size_t at = bytes.find("gzip/safemem");
+    ASSERT_NE(at, std::string::npos);
+    bytes[at + 4] = '\xff';
+    std::stringstream corrupt(bytes, std::ios::in | std::ios::binary);
+    std::vector<TraceSection> sections = readTraceSections(corrupt);
+    ASSERT_EQ(sections.size(), 1u);
+    ASSERT_EQ(sections[0].label, "gzip\xffsafemem");
+
+    for (const std::string &line :
+         {traceRecordJsonLine(sections[0], 0),
+          traceSectionSummaryJson(sections[0])}) {
+        EXPECT_TRUE(JsonChecker(line).valid()) << line;
+        for (char ch : line)
+            EXPECT_LT(static_cast<unsigned char>(ch), 0x80) << line;
+        EXPECT_NE(line.find("\"run\":\"gzip\\u00ffsafemem\""),
+                  std::string::npos)
+            << line;
+    }
+    // The checker itself refuses what the exporter used to emit.
+    EXPECT_FALSE(JsonChecker("{\"run\":\"gzip\xffsafemem\"}").valid());
+    EXPECT_TRUE(JsonChecker("{\"run\":\"gzip\\u00ffsafemem\"}").valid());
 }
 
 TEST(Trace, SectionSummaryCountsEventsAndCycleSpan)

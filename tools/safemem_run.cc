@@ -7,6 +7,8 @@
  *   build/tools/safemem_run gzip --tool purify --overhead
  *   build/tools/safemem_run ypserv1 --buggy --stats=leak
  *   build/tools/safemem_run all --overhead --workers 0   # parallel sweep
+ *
+ * Exits 1 on a usage error, or when any run (or its baseline) failed.
  */
 
 #include <cstdio>
@@ -26,7 +28,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s", parse.message.c_str());
         return 1;
     }
-    std::string report = safemem::runCli(*parse.options);
-    std::fputs(report.c_str(), stdout);
-    return 0;
+    safemem::CliReport report = safemem::runCli(*parse.options);
+    std::fputs(report.text.c_str(), stdout);
+    return report.ok ? 0 : 1;
 }
