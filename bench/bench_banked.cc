@@ -17,11 +17,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "workloads/driver.h"
 
 using namespace safemem;
@@ -55,16 +55,20 @@ main(int argc, char **argv)
     bool json = false;
     std::uint64_t requests = 400;
 
+    const auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: bench_banked [--json] [--requests <n>]\n");
+        return 1;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             json = true;
         } else if (arg == "--requests" && i + 1 < argc) {
-            requests = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseCountInto(argv[++i], requests))
+                return usage();
         } else {
-            std::fprintf(stderr,
-                         "usage: bench_banked [--json] [--requests <n>]\n");
-            return 1;
+            return usage();
         }
     }
 

@@ -21,12 +21,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "alloc/heap_allocator.h"
+#include "common/parse.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "ecc/geometry.h"
@@ -171,19 +171,23 @@ main(int argc, char **argv)
     std::uint64_t batches = 24;
     unsigned workers = 4;
 
+    const auto usage = [] {
+        std::fprintf(stderr, "usage: bench_ecc_tradeoff [--json] "
+                             "[--batches <n>] [--workers <n>]\n");
+        return 1;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             json = true;
         } else if (arg == "--batches" && i + 1 < argc) {
-            batches = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseCountInto(argv[++i], batches))
+                return usage();
         } else if (arg == "--workers" && i + 1 < argc) {
-            workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseCountInto(argv[++i], workers))
+                return usage();
         } else {
-            std::fprintf(stderr, "usage: bench_ecc_tradeoff [--json] "
-                                 "[--batches <n>] [--workers <n>]\n");
-            return 1;
+            return usage();
         }
     }
 

@@ -19,11 +19,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "workloads/fleet.h"
 
 using namespace safemem;
@@ -37,29 +37,33 @@ main(int argc, char **argv)
     config.workers = 0;       // all cores
     config.verifyWorkers = 1; // serial re-run proves pool independence
 
+    const auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: bench_fleet [--json] [--requests <n>] "
+                     "[--seeds <n>] [--procs <n>] [--workers <n>] "
+                     "[--no-verify]\n");
+        return 1;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             json = true;
         } else if (arg == "--requests" && i + 1 < argc) {
-            config.requests = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseCountInto(argv[++i], config.requests))
+                return usage();
         } else if (arg == "--seeds" && i + 1 < argc) {
-            config.seeds = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseCountInto(argv[++i], config.seeds))
+                return usage();
         } else if (arg == "--procs" && i + 1 < argc) {
-            config.procs = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseCountInto(argv[++i], config.procs))
+                return usage();
         } else if (arg == "--workers" && i + 1 < argc) {
-            config.workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseCountInto(argv[++i], config.workers))
+                return usage();
         } else if (arg == "--no-verify") {
             config.verifyWorkers = 0;
         } else {
-            std::fprintf(stderr,
-                         "usage: bench_fleet [--json] [--requests <n>] "
-                         "[--seeds <n>] [--procs <n>] [--workers <n>] "
-                         "[--no-verify]\n");
-            return 1;
+            return usage();
         }
     }
 

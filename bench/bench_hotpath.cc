@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "os/machine.h"
 #include "trace/trace.h"
 
@@ -143,6 +144,14 @@ main(int argc, char **argv)
     std::string baseline_note;
     std::string trace_path;
 
+    const auto usage = [argv] {
+        std::fprintf(stderr,
+                     "usage: %s [--json] [--out FILE] [--accesses N]"
+                     " [--baseline-ms X [--baseline-note S]]"
+                     " [--trace FILE]\n",
+                     argv[0]);
+        return 1;
+    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--json") {
@@ -150,7 +159,8 @@ main(int argc, char **argv)
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--accesses" && i + 1 < argc) {
-            word_accesses = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseCountInto(argv[++i], word_accesses))
+                return usage();
         } else if (arg == "--baseline-ms" && i + 1 < argc) {
             baseline_ms = std::strtod(argv[++i], nullptr);
         } else if (arg == "--baseline-note" && i + 1 < argc) {
@@ -158,12 +168,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace" && i + 1 < argc) {
             trace_path = argv[++i];
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--json] [--out FILE] [--accesses N]"
-                         " [--baseline-ms X [--baseline-note S]]"
-                         " [--trace FILE]\n",
-                         argv[0]);
-            return 2;
+            return usage();
         }
     }
 

@@ -17,12 +17,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "common/thread_pool.h"
 #include "workloads/driver.h"
 
@@ -73,20 +73,24 @@ main(int argc, char **argv)
     std::uint64_t requests = 0; // 0 = paper defaults
     unsigned workers = 0;       // 0 = all cores
 
+    const auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: bench_matrix [--json] [--requests <n>] "
+                     "[--workers <n>]\n");
+        return 1;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             json = true;
         } else if (arg == "--requests" && i + 1 < argc) {
-            requests = std::strtoull(argv[++i], nullptr, 10);
+            if (!parseCountInto(argv[++i], requests))
+                return usage();
         } else if (arg == "--workers" && i + 1 < argc) {
-            workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parseCountInto(argv[++i], workers))
+                return usage();
         } else {
-            std::fprintf(stderr,
-                         "usage: bench_matrix [--json] [--requests <n>] "
-                         "[--workers <n>]\n");
-            return 1;
+            return usage();
         }
     }
 

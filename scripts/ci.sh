@@ -10,10 +10,14 @@
 #   4b. Release build     — full ctest with -DCMAKE_BUILD_TYPE=Release
 #                           (-O3, NDEBUG, -Werror still on)
 #   5. bench smoke        — bench_hotpath --json and bench_matrix --json;
-#                           fail on malformed JSON or missing keys
+#                           fail on malformed JSON or missing keys; a
+#                           malformed numeric flag must print the usage
+#                           and exit 1 before any run starts
 #   5b. campaign smoke    — bench_ecc_campaign over the codec zoo: JSON
-#                           shape, scramble verdicts, and worker-count
-#                           independence (byte-identical files)
+#                           shape, scramble verdicts, worker-count
+#                           independence (byte-identical files), and the
+#                           default run byte-identical to the committed
+#                           BENCH_ecc_campaign.json
 #   6. trace smoke        — a traced safemem_run workload decoded with
 #                           trace_dump (records + --summary); fail on
 #                           malformed JSON-lines
@@ -72,7 +76,24 @@ build_and_test() {
         ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
 
+# Run "$@", a bench given a malformed numeric flag value: it must print
+# its usage on stderr and exit 1 with nothing on stdout (no run started).
+rejects_malformed_count() {
+    local out=build/bench/rejected_stdout.txt
+    local err=build/bench/rejected_stderr.txt
+    "$@" >"$out" 2>"$err"
+    local status=$?
+    if [ "$status" -ne 1 ] || [ -s "$out" ] || ! grep -q '^usage:' "$err"; then
+        echo "bench smoke: '$*' exited $status; expected usage and exit 1"
+        cat "$out" "$err" | head -5
+        return 1
+    fi
+}
+
 bench_smoke() {
+    rejects_malformed_count build/bench/bench_matrix --workers -1 &&
+        rejects_malformed_count build/bench/bench_ecc_campaign \
+            --samples 12x || return 1
     # A fast run is enough to validate the report shape; the committed
     # BENCH_hotpath.json baseline is produced from a full run instead.
     local out=build/bench/BENCH_hotpath_smoke.json
@@ -129,10 +150,20 @@ campaign_smoke() {
     # JSON document must carry the expected shape and verdicts (the
     # Hsiao codes host a scramble signature, pure-SEC Hamming must
     # not), and the sweep must be byte-identical for any worker count.
+    # At its default parameters the campaign reproduces the committed
+    # BENCH_ecc_campaign.json byte for byte.
     local one=build/bench/BENCH_campaign_smoke_w1.json
     local four=build/bench/BENCH_campaign_smoke_w4.json
-    build/bench/bench_ecc_campaign --samples 400 --seed 11 --workers 1 \
-        --out "$one" >/dev/null &&
+    local full=build/bench/BENCH_campaign_smoke_default.json
+    build/bench/bench_ecc_campaign --workers 1 --out "$full" >/dev/null &&
+        if ! cmp -s "$full" BENCH_ecc_campaign.json; then
+            echo "campaign smoke: default run differs from the committed" \
+                "BENCH_ecc_campaign.json:"
+            diff "$full" BENCH_ecc_campaign.json | head -20
+            return 1
+        fi &&
+        build/bench/bench_ecc_campaign --samples 400 --seed 11 --workers 1 \
+            --out "$one" >/dev/null &&
         build/bench/bench_ecc_campaign --samples 400 --seed 11 \
             --workers 4 --out "$four" >/dev/null &&
         if ! cmp -s "$one" "$four"; then

@@ -8,6 +8,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -28,6 +29,22 @@ parseCount(std::string_view text, std::uint64_t max)
     if (error != std::errc() || stop != end || value > max)
         return std::nullopt;
     return value;
+}
+
+/**
+ * Parse @p text with parseCount() into @p out, bounded by the largest
+ * value @p T holds. @return false, leaving @p out unchanged, on text
+ * parseCount() rejects.
+ */
+template <typename T>
+bool
+parseCountInto(std::string_view text, T &out)
+{
+    std::optional<std::uint64_t> value =
+        parseCount(text, std::numeric_limits<T>::max());
+    if (value)
+        out = static_cast<T>(*value);
+    return value.has_value();
 }
 
 } // namespace safemem

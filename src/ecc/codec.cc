@@ -4,9 +4,8 @@
 
 #include "common/logging.h"
 #include "common/parse.h"
-#include "ecc/hamming.h"
 #include "ecc/hamming_sec.h"
-#include "ecc/hsiao_param.h"
+#include "ecc/hsiao.h"
 
 namespace safemem {
 
@@ -14,13 +13,10 @@ std::unique_ptr<EccCodec>
 makeCodec(const EccCodecSpec &spec)
 {
     switch (spec.kind) {
-      case EccCodecKind::Hsiao72_64:
-        return std::make_unique<HsiaoCode>();
+      case EccCodecKind::Hsiao:
+        return std::make_unique<HsiaoCode>(spec.dataBits, spec.checkBits);
       case EccCodecKind::Hamming64_8:
         return std::make_unique<HammingSecCode>();
-      case EccCodecKind::HsiaoParam:
-        return std::make_unique<HsiaoParamCode>(spec.dataBits,
-                                                spec.checkBits);
     }
     panic("makeCodec: unknown codec kind ",
           static_cast<int>(spec.kind));
@@ -58,7 +54,6 @@ parseCodecSpec(const std::string &name)
         check = parseCount(dims.substr(slash + 1), 64);
     if (!data || *data < 1 || !check)
         return std::nullopt;
-    spec.kind = EccCodecKind::HsiaoParam;
     spec.dataBits = static_cast<int>(*data);
     spec.checkBits = static_cast<int>(*check);
     return spec;
@@ -68,15 +63,15 @@ std::string
 codecSpecName(const EccCodecSpec &spec)
 {
     switch (spec.kind) {
-      case EccCodecKind::Hsiao72_64:
-        return "hsiao";
-      case EccCodecKind::Hamming64_8:
-        return "hamming64/8";
-      case EccCodecKind::HsiaoParam:
+      case EccCodecKind::Hsiao:
+        if (spec.checkBits == 0 && spec.dataBits == 64)
+            return "hsiao";
         if (spec.checkBits == 0)
             return "hsiao:" + std::to_string(spec.dataBits);
         return "hsiao:" + std::to_string(spec.dataBits) + "/" +
                std::to_string(spec.checkBits);
+      case EccCodecKind::Hamming64_8:
+        return "hamming64/8";
     }
     return "?";
 }

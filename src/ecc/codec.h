@@ -96,9 +96,8 @@ class EccCodec
 /** The codec implementations selectable per run. */
 enum class EccCodecKind : std::uint8_t
 {
-    Hsiao72_64, ///< the paper's (72,64) Hsiao SEC-DED code
-    Hamming64_8, ///< classic Hamming SEC, no detect-only outcome
-    HsiaoParam  ///< parameterized Hsiao d/k with auto-sized k
+    Hsiao,      ///< Hsiao SEC-DED d/k; 64/auto is the paper's (72,64) code
+    Hamming64_8 ///< classic Hamming SEC, no detect-only outcome
 };
 
 /**
@@ -108,27 +107,28 @@ enum class EccCodecKind : std::uint8_t
  */
 struct EccCodecSpec
 {
-    EccCodecKind kind = EccCodecKind::Hsiao72_64;
-    /** Data bits d (HsiaoParam only; fixed 64 for the others). */
+    EccCodecKind kind = EccCodecKind::Hsiao;
+    /** Data bits d (Hsiao only; fixed 64 for Hamming). */
     int dataBits = 64;
-    /** Check bits k, 0 = auto-size (HsiaoParam only). */
+    /** Check bits k, 0 = auto-size (Hsiao only). */
     int checkBits = 0;
 
     bool operator==(const EccCodecSpec &) const = default;
 };
 
 /** @return a freshly built codec implementing @p spec (panics on a
- *  malformed spec, e.g. HsiaoParam dimensions no code satisfies). */
+ *  malformed spec, e.g. Hsiao dimensions no code satisfies). */
 std::unique_ptr<EccCodec> makeCodec(const EccCodecSpec &spec);
 
-/** @return the shared immutable (72,64) Hsiao codec every machine uses
- *  unless its config says otherwise. */
+/** @return a shared immutable instance of the paper's (72,64) Hsiao
+ *  code, for tests and benches that need one without a machine. */
 const EccCodec &defaultCodec();
 
 /**
  * Parse a codec name as accepted by the CLI: "hsiao" (the default
- * (72,64) code), "hamming64/8", or "hsiao:<d>" / "hsiao:<d>/<k>" for
- * the parameterized construction. @return nullopt on anything else.
+ * (72,64) code, also spelt "hsiao-72-64" or "hsiao:64"), "hamming64/8",
+ * or "hsiao:<d>" / "hsiao:<d>/<k>" for other Hsiao dimensions.
+ * @return nullopt on anything else.
  */
 std::optional<EccCodecSpec> parseCodecSpec(const std::string &name);
 

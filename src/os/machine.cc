@@ -12,15 +12,14 @@
 namespace safemem {
 
 Machine::Machine(MachineConfig config)
-    : config_(config)
+    : config_(config), codec_(makeCodec(config_.codec))
 {
     if (config_.simCheck)
         SimCheck::instance().setEnabled(true);
     memory_ = std::make_unique<PhysicalMemory>(config_.memoryBytes, 8,
                                                config_.geometry);
     controller_ = std::make_unique<MemoryController>(
-        *memory_, clock_, config_.trace,
-        config_.codec ? *config_.codec : defaultCodec(), config_.banks,
+        *memory_, clock_, config_.trace, *codec_, config_.banks,
         config_.geometry);
     cache_ = std::make_unique<Cache>(*controller_, clock_, config_.cache,
                                      config_.trace);

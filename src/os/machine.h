@@ -46,13 +46,12 @@ struct MachineConfig
     /** Turn on the SimCheck invariant auditor for this process. */
     bool simCheck = false;
     /**
-     * ECC codec wired into the memory controller (must outlive the
-     * machine). Null: the shared (72,64) Hsiao defaultCodec(). The
-     * kernel re-derives its scramble signature from this code at boot
-     * and panics if the code cannot host one (see
-     * findScramblePositions).
+     * ECC codec the machine builds and wires into the memory
+     * controller; the default is the paper's (72,64) Hsiao code. The
+     * kernel derives its scramble signature from this code at boot and
+     * panics if the code cannot host one (see findScramblePositions).
      */
-    const EccCodec *codec = nullptr;
+    EccCodecSpec codec{};
     /** Run the deep SimCheck audits every this many kernel ticks. */
     std::uint32_t auditTickInterval = 64;
     /**
@@ -219,6 +218,7 @@ class Machine
 
     MachineConfig config_;
     CycleClock clock_;
+    std::unique_ptr<EccCodec> codec_;
     std::unique_ptr<PhysicalMemory> memory_;
     std::unique_ptr<MemoryController> controller_;
     std::unique_ptr<Cache> cache_;

@@ -284,14 +284,7 @@ runWorkload(const std::string &app_name, ToolKind tool,
     machine_config.geometry = params.geometry;
     machine_config.log = params.log;
     machine_config.trace = params.trace;
-    // Only a non-default codec allocates anything: the default spec
-    // keeps the shared defaultCodec() instance and with it the exact
-    // pre-pluggable behaviour, bit for bit.
-    std::unique_ptr<EccCodec> codec;
-    if (!(params.codec == EccCodecSpec{})) {
-        codec = makeCodec(params.codec);
-        machine_config.codec = codec.get();
-    }
+    machine_config.codec = params.codec;
     Machine machine(machine_config);
 
     RunResult result;
@@ -495,11 +488,7 @@ runConsolidated(const RunSpec &spec)
     machine_config.geometry = spec.params.geometry;
     machine_config.log = spec.params.log;
     machine_config.trace = spec.params.trace;
-    std::unique_ptr<EccCodec> codec;
-    if (!(spec.params.codec == EccCodecSpec{})) {
-        codec = makeCodec(spec.params.codec);
-        machine_config.codec = codec.get();
-    }
+    machine_config.codec = spec.params.codec;
     Machine machine(machine_config);
     Kernel &kernel = machine.kernel();
 

@@ -46,7 +46,8 @@ TEST(Campaign, SweepShapeAndExhaustiveTrialCounts)
     EXPECT_EQ(result.codecs[0].name, "hsiao-72-64");
     EXPECT_EQ(result.codecs[1].name, "hamming-64-8");
     EXPECT_EQ(result.codecs[2].name, "hsiao-72-64");
-    EXPECT_EQ(result.codecs[2].spec.kind, EccCodecKind::HsiaoParam);
+    EXPECT_EQ(result.codecs[2].spec.kind, EccCodecKind::Hsiao);
+    EXPECT_EQ(result.codecs[2].spec.checkBits, 8);
 
     for (const CodecCampaign &codec : result.codecs) {
         // none + random 1..4 + burst 1..4.
@@ -122,7 +123,7 @@ TEST(Campaign, SecDedDetectsEveryDoubleWhereHammingMiscorrects)
 TEST(Campaign, JsonDocumentCarriesTheReportShape)
 {
     CampaignConfig config = smallConfig();
-    config.codecs = {{EccCodecKind::Hsiao72_64, 64, 0},
+    config.codecs = {{EccCodecKind::Hsiao, 64, 0},
                      {EccCodecKind::Hamming64_8, 64, 0}};
     std::string json = campaignJson(runCampaign(config));
 
@@ -141,26 +142,29 @@ TEST(Campaign, MachineBootRejectsAScramblelessCodec)
     // the search to the consumer that genuinely cannot proceed — a
     // machine booting a codec with no scramble signature would build a
     // WatchMemory that never faults.
-    auto hamming = makeCodec({EccCodecKind::Hamming64_8, 64, 0});
     MachineConfig config;
-    config.codec = hamming.get();
+    config.codec = {EccCodecKind::Hamming64_8};
     EXPECT_THROW(Machine{config}, PanicError);
 }
 
 TEST(Campaign, ExplicitDefaultCodecSpecMatchesTheDefaultRun)
 {
-    // --codec hsiao must be a no-op: same RunResult, bit for bit, as
-    // the spec-less default path (which skips codec construction).
+    // --codec hsiao, and each alias of the paper's code, must be a
+    // no-op: the same spec as the default and the same RunResult, bit
+    // for bit, as a run that names no codec.
     const Log quiet = Log::quiet();
     RunParams params;
     params.requests = 120;
     params.seed = 3;
     params.log = &quiet;
     RunResult plain = runWorkload("gzip", ToolKind::SafeMemBoth, params);
-    params.codec = *parseCodecSpec("hsiao");
-    RunResult explicit_spec =
-        runWorkload("gzip", ToolKind::SafeMemBoth, params);
-    EXPECT_TRUE(plain == explicit_spec);
+    for (const char *name : {"hsiao", "hsiao-72-64", "hsiao:64"}) {
+        params.codec = *parseCodecSpec(name);
+        EXPECT_EQ(params.codec, EccCodecSpec{}) << name;
+        RunResult explicit_spec =
+            runWorkload("gzip", ToolKind::SafeMemBoth, params);
+        EXPECT_TRUE(plain == explicit_spec) << name;
+    }
 }
 
 TEST(Campaign, CliParsesCampaignMode)
@@ -176,7 +180,7 @@ TEST(Campaign, CliParsesCampaignMode)
     EXPECT_EQ(options.campaignConfig.codecs[0].kind,
               EccCodecKind::Hamming64_8);
     EXPECT_EQ(options.campaignConfig.codecs[1].kind,
-              EccCodecKind::HsiaoParam);
+              EccCodecKind::Hsiao);
     EXPECT_EQ(options.campaignConfig.codecs[1].dataBits, 16);
     EXPECT_EQ(options.campaignConfig.samples, 100u);
     EXPECT_EQ(options.campaignConfig.seed, 9u);
@@ -194,7 +198,8 @@ TEST(Campaign, CliParsesRunCodecFlag)
     CliParse parse =
         parseCliArguments({"gzip", "--codec", "hsiao:64/8"});
     ASSERT_TRUE(parse.options.has_value());
-    EXPECT_EQ(parse.options->params.codec.kind, EccCodecKind::HsiaoParam);
+    EXPECT_EQ(parse.options->params.codec.kind, EccCodecKind::Hsiao);
+    EXPECT_EQ(parse.options->params.codec.checkBits, 8);
     EXPECT_FALSE(parse.options->campaign);
 
     EXPECT_FALSE(parseCliArguments({"gzip", "--codec", "bogus"}).options);

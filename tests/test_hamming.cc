@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "ecc/hamming.h"
+#include "ecc/hsiao.h"
 
 namespace safemem {
 namespace {

@@ -13,8 +13,7 @@
 #include "common/logging.h"
 #include "ecc/edc.h"
 #include "ecc/geometry.h"
-#include "ecc/hamming.h"
-#include "ecc/hsiao_param.h"
+#include "ecc/hsiao.h"
 #include "ecc/scramble.h"
 #include "mem/memory_controller.h"
 #include "mem/physical_memory.h"
@@ -122,7 +121,7 @@ TEST_F(ControllerTest, CustomCodecDrivesTheDatapath)
 {
     // A controller built over a non-default codec encodes and decodes
     // with it: the check bytes in storage follow the configured code.
-    HsiaoParamCode code(64, 8);
+    HsiaoCode code(64, 8);
     MemoryController custom(memory, clock, nullptr, code);
     LineData line{};
     setLineWord(line, 0, 0xfeedULL);
@@ -137,11 +136,11 @@ TEST_F(ControllerTest, CodecGeometryIsValidatedAtConstruction)
     // The machine datapath stores one check byte per ECC group: a codec
     // needing more check bits than the DIMM provides (or a non-64-bit
     // data word) must be rejected up front, not corrupt silently.
-    HsiaoParamCode narrow(16);
+    HsiaoCode narrow(16);
     EXPECT_THROW(MemoryController(memory, clock, nullptr, narrow),
                  PanicError);
     PhysicalMemory small_checks(4096, 4);
-    HsiaoParamCode full(64, 8);
+    HsiaoCode full(64, 8);
     EXPECT_THROW(MemoryController(small_checks, clock, nullptr, full),
                  PanicError);
 }
@@ -170,7 +169,7 @@ class AffineCodec : public EccCodec
     }
 
   private:
-    HsiaoParamCode inner_{64, 8};
+    HsiaoCode inner_{64, 8};
 };
 
 TEST_F(ControllerTest, AffineCodecIsRejectedAtConstruction)

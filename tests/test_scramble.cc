@@ -7,7 +7,7 @@
 
 #include "common/random.h"
 #include "ecc/hamming_sec.h"
-#include "ecc/hsiao_param.h"
+#include "ecc/hsiao.h"
 #include "ecc/scramble.h"
 
 namespace safemem {
@@ -85,7 +85,7 @@ TEST(Scramble, ParamHsiaoCodesHostSignaturesToo)
     // Any odd-weight-column Hsiao geometry keeps property 1: three odd
     // columns XOR to an odd-weight syndrome no column matches.
     for (int data_bits : {16, 32, 64}) {
-        HsiaoParamCode code(data_bits);
+        HsiaoCode code(data_bits);
         std::optional<ScramblePattern> p = findScramblePositions(code);
         ASSERT_TRUE(p.has_value()) << "d=" << data_bits;
         std::uint64_t data =
