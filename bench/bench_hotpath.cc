@@ -162,7 +162,10 @@ main(int argc, char **argv)
             if (!parseCountInto(argv[++i], word_accesses))
                 return usage();
         } else if (arg == "--baseline-ms" && i + 1 < argc) {
-            baseline_ms = std::strtod(argv[++i], nullptr);
+            std::optional<double> ms = parseReal(argv[++i]);
+            if (!ms || *ms < 0.0)
+                return usage();
+            baseline_ms = *ms;
         } else if (arg == "--baseline-note" && i + 1 < argc) {
             baseline_note = argv[++i];
         } else if (arg == "--trace" && i + 1 < argc) {

@@ -25,6 +25,11 @@
 #                           trace_dump --summary (emitted/retained counts
 #                           per event and per bank, cycle span) must
 #                           match tests/data/golden_watch_trace_summary
+#   6c. datapath guard    — the --stats output of squid1 under SafeMem
+#                           (buggy, 20000 requests) and of stream on
+#                           block:512/crc32 (9600 requests) must match
+#                           tests/data/golden_stats_{squid_safemem,
+#                           stream_block}.txt byte for byte
 #   7. multiproc smoke    — the full app sweep at --procs 2 must produce
 #                           byte-identical reports for any worker count
 #   7b. bank smoke        — the full app sweep at --banks 4 must be
@@ -93,7 +98,9 @@ rejects_malformed_count() {
 bench_smoke() {
     rejects_malformed_count build/bench/bench_matrix --workers -1 &&
         rejects_malformed_count build/bench/bench_ecc_campaign \
-            --samples 12x || return 1
+            --samples 12x &&
+        rejects_malformed_count build/bench/bench_hotpath \
+            --baseline-ms 12x || return 1
     # A fast run is enough to validate the report shape; the committed
     # BENCH_hotpath.json baseline is produced from a full run instead.
     local out=build/bench/BENCH_hotpath_smoke.json
@@ -290,6 +297,35 @@ watch_trace_guard() {
             diff "$golden" "$summary" | head -20
             return 1
         fi
+}
+
+datapath_guard() {
+    # The access path's observable results are pinned: the two
+    # benchmark workloads that lean on it (watch scrambles and
+    # word-geometry fills; EDC fast-check fills and RMW writebacks)
+    # must print exactly the golden report and counters, however the
+    # DRAM datapath moves its bursts.
+    local failed=0
+    local name out
+    for name in squid_safemem stream_block; do
+        out=build/datapath_guard_$name.txt
+        case $name in
+          squid_safemem)
+            build/tools/safemem_run squid1 --tool safemem --buggy \
+                --requests 20000 --stats >"$out" ;;
+          stream_block)
+            build/tools/safemem_run stream --tool none \
+                --geometry block:512/crc32 --requests 9600 --stats >"$out" ;;
+        esac || failed=1
+        if cmp -s "$out" "tests/data/golden_stats_$name.txt"; then
+            echo "datapath guard: $name matches the golden"
+        else
+            echo "datapath guard: $name moved from the golden:"
+            diff "tests/data/golden_stats_$name.txt" "$out" | head -20
+            failed=1
+        fi
+    done
+    return "$failed"
 }
 
 bank_smoke() {
@@ -568,6 +604,8 @@ stage "campaign smoke (ecc codec zoo)" campaign_smoke
 stage "trace smoke (safemem_run --trace + trace_dump)" trace_smoke
 stage "watch trace guard (squid1 --procs 3 --banks 4 vs golden)" \
     watch_trace_guard
+stage "datapath guard (--stats of squid1 and stream vs goldens)" \
+    datapath_guard
 stage "multiproc smoke (--procs 2, serial vs parallel)" multiproc_smoke
 stage "bank smoke (--banks 4 sweep + bench_banked)" bank_smoke
 stage "fleet smoke (bench_fleet sampled sweep)" fleet_smoke

@@ -1,12 +1,13 @@
 /**
  * @file
- * Strict parsing of the unsigned counts that command-line flags and
- * codec specs carry.
+ * Strict parsing of the unsigned counts and real numbers that
+ * command-line flags and codec specs carry.
  */
 
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -45,6 +46,24 @@ parseCountInto(std::string_view text, T &out)
     if (value)
         out = static_cast<T>(*value);
     return value.has_value();
+}
+
+/**
+ * Parse all of @p text as a finite decimal real. Whitespace, a leading
+ * '+', trailing characters, NaN, infinities and values too large for a
+ * double yield nothing, where std::stod would skip leading whitespace,
+ * accept "0.5x" as 0.5 and take "nan"; std::strtod would also turn an
+ * unparsable text into 0.
+ */
+inline std::optional<double>
+parseReal(std::string_view text)
+{
+    double value = 0.0;
+    const char *end = text.data() + text.size();
+    auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end || !std::isfinite(value))
+        return std::nullopt;
+    return value;
 }
 
 } // namespace safemem

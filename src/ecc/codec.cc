@@ -9,6 +9,34 @@
 
 namespace safemem {
 
+void
+EccCodec::requireByteChecks() const
+{
+    if (checkBits() > 8)
+        panic("EccCodec: '", name(), "' has ", checkBits(),
+              " check bits; batched calls carry one check byte per group");
+}
+
+void
+EccCodec::encodeWords(const std::uint64_t *words, std::uint8_t *checks,
+                      std::size_t n) const
+{
+    requireByteChecks();
+    for (std::size_t i = 0; i < n; ++i)
+        checks[i] = static_cast<std::uint8_t>(encode(words[i]));
+}
+
+std::size_t
+EccCodec::firstUnclean(const std::uint64_t *words,
+                       const std::uint8_t *checks, std::size_t n) const
+{
+    requireByteChecks();
+    for (std::size_t i = 0; i < n; ++i)
+        if (decode(words[i], checks[i]).status != EccDecodeStatus::Ok)
+            return i;
+    return n;
+}
+
 std::unique_ptr<EccCodec>
 makeCodec(const EccCodecSpec &spec)
 {

@@ -14,10 +14,18 @@
  * All implementations are stateless after construction: every method is
  * const and thread-compatible, so one codec instance may serve many
  * concurrent machines or campaign workers.
+ *
+ * Besides the per-word encode()/decode(), the interface has two batched
+ * calls the controller's line datapath uses: encodeWords() fills the
+ * check bytes of a whole burst, and firstUnclean() finds the first group
+ * of a burst that does not decode Ok. The defaults loop over the
+ * per-word calls; a codec may override them with a devirtualised loop,
+ * so a line costs one virtual call rather than eight.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -91,6 +99,28 @@ class EccCodec
 
     /** @return the H-matrix column (k-bit syndrome) of data bit @p bit. */
     virtual std::uint64_t column(int bit) const = 0;
+
+    /**
+     * @name Batched calls over @p n groups (the line datapath)
+     * Check values are the DIMM's check bytes, so both calls require
+     * checkBits() <= 8 and panic otherwise.
+     */
+    /// @{
+
+    /** Store encode(@p words[i]) into @p checks[i] for each i < @p n. */
+    virtual void encodeWords(const std::uint64_t *words,
+                             std::uint8_t *checks, std::size_t n) const;
+
+    /** @return the least i < @p n whose decode(@p words[i],
+     *  @p checks[i]) is not Ok, or @p n when every group is clean. */
+    virtual std::size_t firstUnclean(const std::uint64_t *words,
+                                     const std::uint8_t *checks,
+                                     std::size_t n) const;
+    /// @}
+
+  protected:
+    /** Panic unless checkBits() fits one check byte (batched calls). */
+    void requireByteChecks() const;
 };
 
 /** The codec implementations selectable per run. */

@@ -98,6 +98,29 @@ HsiaoCode::encode(std::uint64_t data) const
     return check;
 }
 
+void
+HsiaoCode::encodeWords(const std::uint64_t *words, std::uint8_t *checks,
+                       std::size_t n) const
+{
+    requireByteChecks();
+    for (std::size_t i = 0; i < n; ++i)
+        checks[i] = static_cast<std::uint8_t>(encode(words[i]));
+}
+
+std::size_t
+HsiaoCode::firstUnclean(const std::uint64_t *words,
+                        const std::uint8_t *checks, std::size_t n) const
+{
+    requireByteChecks();
+    // decode() is Ok exactly when the masked syndrome is zero; the
+    // check bits fit a byte here, so the stored byte is the whole word.
+    const std::uint64_t mask = (1ULL << checkBits_) - 1;
+    for (std::size_t i = 0; i < n; ++i)
+        if (((encode(words[i]) ^ checks[i]) & mask) != 0)
+            return i;
+    return n;
+}
+
 EccDecodeResult
 HsiaoCode::decode(std::uint64_t data, std::uint64_t check) const
 {

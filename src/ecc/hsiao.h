@@ -27,7 +27,7 @@ namespace safemem {
  * A (d + k, d) Hsiao SEC-DED codec. Stateless after construction; all
  * methods are const and thread-compatible.
  */
-class HsiaoCode : public EccCodec
+class HsiaoCode final : public EccCodec
 {
   public:
     /**
@@ -55,6 +55,16 @@ class HsiaoCode : public EccCodec
 
     /** @return the H-matrix column (k-bit syndrome) of data bit @p bit. */
     std::uint64_t column(int bit) const override { return columns_[bit]; }
+
+    /** Byte-sliced encode of @p n groups in one call. */
+    void encodeWords(const std::uint64_t *words, std::uint8_t *checks,
+                     std::size_t n) const override;
+
+    /** @return the first of @p n groups with a nonzero syndrome (the
+     *  groups decode() would not call Ok), or @p n. */
+    std::size_t firstUnclean(const std::uint64_t *words,
+                             const std::uint8_t *checks,
+                             std::size_t n) const override;
 
     /** @return the smallest k whose odd-weight (>= 3) column pool
      *  covers @p data_bits data columns, or 0 when none <= 64 does. */

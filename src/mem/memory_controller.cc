@@ -1,5 +1,7 @@
 #include "mem/memory_controller.h"
 
+#include <cstring>
+
 #include "check/simcheck.h"
 #include "common/costs.h"
 #include "common/logging.h"
@@ -251,8 +253,7 @@ std::uint64_t
 MemoryController::storedLineFold(PhysAddr line_addr) const
 {
     std::uint64_t words[kEccGroupsPerLine];
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-        words[i] = memory_.readWord(line_addr + i * kEccGroupSize);
+    memory_.readLine(line_addr, words, nullptr);
     return edcLineFold(geometry_.edc, words, kEccGroupsPerLine);
 }
 
@@ -395,16 +396,27 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
     banks_[bank_id].stats_.add(ControllerStat::LineFills);
 
     bool ok = true;
+    std::uint64_t words[kEccGroupsPerLine];
     if (geometry_.isWord() || mode_ == EccMode::Disabled) {
-        // Per-word SEC-DED: decode every group of the demanded line.
-        // (With ECC Disabled the block fast path has nothing to check
-        // either, so both geometries degenerate to this raw read.)
-        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-            std::uint64_t word;
-            if (!decodeWord(line_addr + i * kEccGroupSize, false, word))
-                ok = false;
-            setLineWord(out, i, word);
+        // Per-word SEC-DED over one burst. (With ECC Disabled the block
+        // fast path has nothing to check either, so both geometries
+        // degenerate to this raw read.) The groups before the first
+        // one that does not decode Ok are delivered as read. From that
+        // group on, each is decoded from memory again: the interrupt
+        // for one group may rewrite the rest of the line (SafeMem's
+        // handler unscrambles it), and the later groups must see that.
+        std::size_t clean = kEccGroupsPerLine;
+        if (mode_ == EccMode::Disabled) {
+            memory_.readLine(line_addr, words, nullptr);
+        } else {
+            std::uint8_t checks[kEccGroupsPerLine];
+            memory_.readLine(line_addr, words, checks);
+            clean = code_.firstUnclean(words, checks, kEccGroupsPerLine);
         }
+        for (std::size_t i = clean; i < kEccGroupsPerLine; ++i)
+            if (!decodeWord(line_addr + i * kEccGroupSize, false, words[i]))
+                ok = false;
+        std::memcpy(out.data(), words, kCacheLineSize);
     } else {
         // Block geometry: verify the line's EDC fold that rode in with
         // the burst; only an EDC miss pays the long-code decode.
@@ -413,13 +425,13 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
                 edcFoldBytes(geometry_.edc));
         clock_.advance(kEdcCheckCycles);
         PhysAddr cw = alignDown(line_addr, geometry_.codewordBytes);
-        if (storedLineFold(line_addr) == memory_.readEdc(line_addr)) {
+        memory_.readLine(line_addr, words, nullptr);
+        if (edcLineFold(geometry_.edc, words, kEccGroupsPerLine) ==
+            memory_.readEdc(line_addr)) {
             geomAdd(GeometryStat::EdcChecksPassed, bank_id);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EdcCheckPass,
                                clock_.now(), line_addr, cw, bank_id);
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-                setLineWord(out, i,
-                            memory_.readWord(line_addr + i * kEccGroupSize));
+            std::memcpy(out.data(), words, kCacheLineSize);
         } else {
             geomAdd(GeometryStat::EdcChecksFailed, bank_id);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EdcCheckFail,
@@ -450,23 +462,17 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerEvict, clock_.now(),
                        line_addr, bank_id);
 
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-        PhysAddr word_addr = line_addr + i * kEccGroupSize;
-        std::uint64_t word = lineWord(data, i);
-        memory_.writeWord(word_addr, word);
-        if (mode_ != EccMode::Disabled)
-            memory_.writeCheck(word_addr, static_cast<std::uint8_t>(
-                                              code_.encode(word)));
-    }
+    // The burst itself is the device write; the cycles were charged
+    // above.
+    std::uint64_t words[kEccGroupsPerLine];
+    std::memcpy(words, data.data(), kCacheLineSize);
+    writeLineDeviceOp(line_addr, words);
 
     if (!geometry_.isWord() && mode_ != EccMode::Disabled) {
         // The EDC fold rides with the burst and covers exactly this
         // line, so the writeback computes it from the new data alone.
         // (With ECC Disabled it goes stale alongside the check bytes —
         // the hook the scramble trick relies on.)
-        std::uint64_t words[kEccGroupsPerLine];
-        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-            words[i] = lineWord(data, i);
         memory_.writeEdc(line_addr,
                          edcLineFold(geometry_.edc, words,
                                      kEccGroupsPerLine));
@@ -574,6 +580,29 @@ MemoryController::writeWordDeviceOp(PhysAddr word_addr, std::uint64_t value)
                                           code_.encode(value)));
 }
 
+void
+MemoryController::writeLineDeviceOp(PhysAddr line_addr,
+                                    const std::uint64_t *words)
+{
+    if (mode_ == EccMode::Disabled) {
+        memory_.writeLine(line_addr, words, nullptr);
+        return;
+    }
+    std::uint8_t checks[kEccGroupsPerLine];
+    code_.encodeWords(words, checks, kEccGroupsPerLine);
+    memory_.writeLine(line_addr, words, checks);
+}
+
+void
+MemoryController::xorLineDeviceOp(PhysAddr line_addr, std::uint64_t mask)
+{
+    std::uint64_t words[kEccGroupsPerLine];
+    memory_.readLine(line_addr, words, nullptr);
+    for (std::uint64_t &word : words)
+        word ^= mask;
+    writeLineDeviceOp(line_addr, words);
+}
+
 std::uint64_t
 MemoryController::peekWord(PhysAddr word_addr) const
 {
@@ -583,8 +612,9 @@ MemoryController::peekWord(PhysAddr word_addr) const
 void
 MemoryController::peekLine(PhysAddr line_addr, LineData &out) const
 {
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-        setLineWord(out, i, memory_.readWord(line_addr + i * kEccGroupSize));
+    std::uint64_t words[kEccGroupsPerLine];
+    memory_.readLine(line_addr, words, nullptr);
+    std::memcpy(out.data(), words, kCacheLineSize);
 }
 
 void

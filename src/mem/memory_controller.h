@@ -9,6 +9,12 @@
  * corrected in CorrectError modes, and uncorrectable mismatches raise an
  * interrupt on the wire registered with setInterruptHandler().
  *
+ * The datapath moves whole lines: a fill or writeback is one DRAM burst
+ * (PhysicalMemory::readLine/writeLine) and one batched codec call. A
+ * fill delivers the groups before the first unclean one straight from
+ * the burst and decodes the rest one by one, re-reading each, because
+ * the interrupt for one group may rewrite the remainder of the line.
+ *
  * Physical memory is page-interleaved across numBanks() MemoryBank
  * objects (bank.h). Each bank has its own lock capability and stat
  * slots; lockBus() is now the compatibility shim that locks every bank
@@ -150,6 +156,18 @@ class MemoryController
      * Disabled the stored check byte is left untouched. Charges no cycles.
      */
     void writeWordDeviceOp(PhysAddr word_addr, std::uint64_t value);
+
+    /** Device-initiated line write of kEccGroupsPerLine @p words in
+     *  one burst, honouring the mode as writeWordDeviceOp() does: the
+     *  check bytes are re-encoded unless ECC is Disabled (kernel
+     *  swap-in, SafeMem's repair path). Charges no cycles. */
+    void writeLineDeviceOp(PhysAddr line_addr, const std::uint64_t *words);
+
+    /** Device-initiated read-modify-write of one line: XOR every group
+     *  with @p mask and write the burst back, honouring the mode as
+     *  writeWordDeviceOp() does (the kernel's scramble and unscramble).
+     *  Charges no cycles. */
+    void xorLineDeviceOp(PhysAddr line_addr, std::uint64_t mask);
 
     /** Uncharged, unchecked word read (kernel save path, tests). */
     std::uint64_t peekWord(PhysAddr word_addr) const;

@@ -1,5 +1,8 @@
 #include "mem/physical_memory.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/logging.h"
 #include "ecc/edc.h"
 
@@ -52,6 +55,44 @@ PhysicalMemory::wordSlot(PhysAddr addr) const
     if (addr >= bytes_)
         panic("PhysicalMemory: address ", addr, " beyond capacity ", bytes_);
     return addr % kPageSize / kEccGroupSize;
+}
+
+std::size_t
+PhysicalMemory::burstSlot(PhysAddr addr) const
+{
+    if (!isAligned(addr, kCacheLineSize))
+        panic("PhysicalMemory: unaligned line address ", addr);
+    if (addr >= bytes_)
+        panic("PhysicalMemory: address ", addr, " beyond capacity ", bytes_);
+    return addr % kPageSize / kEccGroupSize;
+}
+
+void
+PhysicalMemory::readLine(PhysAddr line_addr, std::uint64_t *words,
+                         std::uint8_t *checks) const
+{
+    std::size_t slot = burstSlot(line_addr);
+    const Page *page = findPage(line_addr);
+    if (!page) {
+        std::fill_n(words, kEccGroupsPerLine, 0);
+        if (checks)
+            std::fill_n(checks, kEccGroupsPerLine, 0);
+        return;
+    }
+    std::memcpy(words, &page->words[slot], kCacheLineSize);
+    if (checks)
+        std::memcpy(checks, &page->checks[slot], kEccGroupsPerLine);
+}
+
+void
+PhysicalMemory::writeLine(PhysAddr line_addr, const std::uint64_t *words,
+                          const std::uint8_t *checks)
+{
+    std::size_t slot = burstSlot(line_addr);
+    Page &page = touchPage(line_addr);
+    std::memcpy(&page.words[slot], words, kCacheLineSize);
+    if (checks)
+        std::memcpy(&page.checks[slot], checks, kEccGroupsPerLine);
 }
 
 std::uint64_t
@@ -107,11 +148,7 @@ PhysicalMemory::lineSlot(PhysAddr addr) const
 {
     if (!hasEdcLane())
         panic("PhysicalMemory: no EDC lane on a word-geometry DIMM");
-    if (!isAligned(addr, kCacheLineSize))
-        panic("PhysicalMemory: unaligned line address ", addr);
-    if (addr >= bytes_)
-        panic("PhysicalMemory: address ", addr, " beyond capacity ", bytes_);
-    return addr % kPageSize / kCacheLineSize;
+    return burstSlot(addr) / kEccGroupsPerLine;
 }
 
 std::uint64_t

@@ -17,6 +17,13 @@
  * edcZeroLineFold() folds — exactly what a zero-filled DIMM would hold,
  * and a clean codeword under any codec with encode(0) == 0 (which
  * MemoryController checks at boot). Reads never allocate.
+ *
+ * The controller's datapath moves whole lines: readLine() and
+ * writeLine() transfer one 64-byte burst of eight ECC groups with
+ * their check bytes, validating the line address and finding its page
+ * once per burst. The per-word accessors remain for single-word fault
+ * injection, tests and benches, and for the controller's per-word
+ * decode of a group that did not read back clean.
  */
 
 #pragma once
@@ -66,6 +73,31 @@ class PhysicalMemory
      *  had a fault injected) since power-on. An untouched frame reads
      *  as zero-filled DRAM. */
     bool pageTouched(PhysAddr addr) const;
+
+    /** @name Line bursts (the controller datapath)
+     *  One cache line of kEccGroupsPerLine data words and their check
+     *  bytes. Both calls panic on a line address that is not
+     *  line-aligned or lies past the capacity. */
+    /// @{
+
+    /**
+     * Read the line at @p line_addr into @p words and, when @p checks is
+     * non-null, its stored check bytes into @p checks (each array holds
+     * kEccGroupsPerLine entries). An untouched page reads as zeros and
+     * stays untouched.
+     */
+    void readLine(PhysAddr line_addr, std::uint64_t *words,
+                  std::uint8_t *checks) const;
+
+    /**
+     * Store @p words as the line at @p line_addr and, when @p checks is
+     * non-null, @p checks as its check bytes; a null @p checks leaves
+     * the stored check bytes as they were (ECC Disabled writes).
+     * Materialises the line's own page only.
+     */
+    void writeLine(PhysAddr line_addr, const std::uint64_t *words,
+                   const std::uint8_t *checks);
+    /// @}
 
     /** @return the data word at 8-byte-aligned physical address @p addr. */
     std::uint64_t readWord(PhysAddr addr) const;
@@ -124,6 +156,9 @@ class PhysicalMemory
 
     /** Validate a word address. @return its slot within its page. */
     std::size_t wordSlot(PhysAddr addr) const;
+    /** Validate a line address. @return the slot of its first word
+     *  within its page. */
+    std::size_t burstSlot(PhysAddr addr) const;
     /** Validate a line address on the EDC lane. @return its slot
      *  within its page. */
     std::size_t lineSlot(PhysAddr addr) const;

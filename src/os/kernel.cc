@@ -405,12 +405,7 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
         forEachLine(table, addr, end,
                     [&](PageTableEntry &, VirtAddr, PhysAddr pline) {
             clock_.advance(kScrambleLineCycles);
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-                PhysAddr word_addr = pline + i * kEccGroupSize;
-                std::uint64_t original = controller_.peekWord(word_addr);
-                controller_.writeWordDeviceOp(word_addr,
-                                              scramble_.apply(original));
-            }
+            controller_.xorLineDeviceOp(pline, scramble_.mask());
         });
         controller_.setMode(saved);
     }
@@ -502,12 +497,7 @@ Kernel::disableWatchMemory(VirtAddr addr, std::size_t size)
                 panic("DisableWatchMemory: line ", vline, " not watched");
 
             clock_.advance(kUnscrambleLineCycles);
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-                PhysAddr word_addr = pline + i * kEccGroupSize;
-                std::uint64_t scrambled = controller_.peekWord(word_addr);
-                controller_.writeWordDeviceOp(word_addr,
-                                              scramble_.apply(scrambled));
-            }
+            controller_.xorLineDeviceOp(pline, scramble_.mask());
             pte.watchedLines &= ~lineBit(vline);
             --proc.watchedLines_;
             bump(KernelStat::LinesUnwatched);
@@ -756,9 +746,10 @@ Kernel::swapOutPage(VirtAddr vaddr)
 
     std::vector<std::uint8_t> &store = space.swapStore[vpage];
     store.resize(kPageSize);
-    for (std::size_t off = 0; off < kPageSize; off += kEccGroupSize) {
-        std::uint64_t word = controller_.peekWord(entry->frame + off);
-        std::memcpy(store.data() + off, &word, sizeof(word));
+    for (std::size_t off = 0; off < kPageSize; off += kCacheLineSize) {
+        LineData line{};
+        controller_.peekLine(entry->frame + off, line);
+        std::memcpy(store.data() + off, line.data(), kCacheLineSize);
     }
 
     freeFrame(entry->frame);
@@ -784,10 +775,10 @@ Kernel::pageIn(VirtAddr vpage)
     // Restoring through the controller with ECC enabled regenerates fresh
     // check bytes — which is exactly why an unpinned watched page loses
     // its watch across a swap cycle (paper §2.2.2).
-    for (std::size_t off = 0; off < kPageSize; off += kEccGroupSize) {
-        std::uint64_t word;
-        std::memcpy(&word, it->second.data() + off, sizeof(word));
-        controller_.writeWordDeviceOp(frame + off, word);
+    for (std::size_t off = 0; off < kPageSize; off += kCacheLineSize) {
+        std::uint64_t words[kEccGroupsPerLine];
+        std::memcpy(words, it->second.data() + off, kCacheLineSize);
+        controller_.writeLineDeviceOp(frame + off, words);
     }
     space.swapStore.erase(it);
     space.pageTable.markSwappedIn(vpage, frame);

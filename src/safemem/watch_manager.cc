@@ -419,11 +419,11 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
     // against memory: a mismatch means a real hardware error struck the
     // watched line (§2.2.2).
     MemoryController &controller = machine_.controller();
+    LineData current{};
+    controller.peekLine(alignDown(fault.lineAddr, kCacheLineSize), current);
     bool signature_intact = true;
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-        std::uint64_t current = controller.peekWord(
-            alignDown(fault.lineAddr, kCacheLineSize) + i * kEccGroupSize);
-        if (current != scramble_.apply(slot->words[i])) {
+        if (lineWord(current, i) != scramble_.apply(slot->words[i])) {
             signature_intact = false;
             break;
         }
@@ -447,8 +447,8 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
             original.insert(original.end(), words.begin(), words.end());
         }
         dropRegion(handle);
-        // Repair through the device-op path: writeWordDeviceOp rewrites
-        // each word with freshly encoded check bytes without any cache
+        // Repair through the device-op path: writeLineDeviceOp rewrites
+        // each line with freshly encoded check bytes without any cache
         // traffic. A machine_.write() here would write-allocate, and the
         // read-for-ownership fill would pull the still-corrupted line
         // through the controller — a nested ECC fault inside the fault
@@ -461,10 +461,8 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
             // flushed them and faulted fills never install), but flush
             // defensively so a stale copy can never shadow the repair.
             machine_.cache().flushLine(pline);
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-                controller.writeWordDeviceOp(
-                    pline + i * kEccGroupSize,
-                    original[off / kEccGroupSize + i]);
+            controller.writeLineDeviceOp(pline,
+                                         &original[off / kEccGroupSize]);
         }
         inRepair_ = false;
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchRepairDone,

@@ -207,19 +207,14 @@ parseCliArguments(const std::vector<std::string> &args)
             const std::string *value = need_value("--sample-rate");
             if (!value)
                 return result;
-            double rate = 0.0;
-            try {
-                rate = std::stod(*value);
-            } catch (const std::exception &) {
-                rate = 0.0;
-            }
-            if (!(rate > 0.0) || rate > 1.0) {
+            std::optional<double> rate = parseReal(*value);
+            if (!rate || *rate <= 0.0 || *rate > 1.0) {
                 result.message =
                     "--sample-rate needs a value in (0, 1]\n\n" +
                     cliUsage();
                 return result;
             }
-            options.params.sampleRate = rate;
+            options.params.sampleRate = *rate;
         } else if (arg == "--trace") {
             const std::string *value = need_value("--trace");
             if (!value)

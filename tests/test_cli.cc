@@ -206,6 +206,40 @@ TEST(Cli, NumericFlagsRejectSignsJunkAndOverflow)
     EXPECT_EQ(campaign.options->campaignConfig.workers, 4u);
 }
 
+TEST(Cli, ParseRealTakesOnlyWholeFiniteNumbers)
+{
+    EXPECT_EQ(parseReal("0.5"), 0.5);
+    EXPECT_EQ(parseReal("1"), 1.0);
+    EXPECT_EQ(parseReal("0.0625"), 0.0625);
+    EXPECT_EQ(parseReal("-2.5"), -2.5);
+    EXPECT_EQ(parseReal("1e-3"), 1e-3);
+    for (const char *bad : {"", " 0.5", "0.5 ", "0.5x", "12x", "+0.5",
+                            "0x1p-1", ".", "-", "nan", "NaN", "inf",
+                            "-inf", "infinity", "1e999", "1e-999"})
+        EXPECT_FALSE(parseReal(bad).has_value()) << "'" << bad << "'";
+}
+
+TEST(Cli, SampleRateRejectsJunkAndOutOfRange)
+{
+    // std::stod once took "0.5x" as 0.5 and " 0.5" as 0.5.
+    for (const char *bad : {"0.5x", " 0.5", "0.5 ", "", "nan", "inf",
+                            "0", "-0.5", "1.5", "1e999"}) {
+        CliParse parse = parseCliArguments(
+            {"squid1", "--tool", "safemem-sampled", "--sample-rate", bad});
+        EXPECT_FALSE(parse.options.has_value()) << "'" << bad << "'";
+        EXPECT_NE(parse.message.find("--sample-rate needs a value in (0, 1]"),
+                  std::string::npos)
+            << "'" << bad << "'";
+        EXPECT_NE(parse.message.find("usage:"), std::string::npos);
+    }
+    for (const char *good : {"1", "1.0", "0.5", "0.0625", "1e-3"}) {
+        CliParse parse = parseCliArguments(
+            {"squid1", "--tool", "safemem-sampled", "--sample-rate", good});
+        ASSERT_TRUE(parse.options.has_value()) << good;
+        EXPECT_EQ(parse.options->params.sampleRate, *parseReal(good));
+    }
+}
+
 TEST(Cli, CodecDimensionsMustBeWholeNumbers)
 {
     for (const char *bad : {"hsiao:64/8x", "hsiao:64x", "hsiao:+64",

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <memory>
 #include <vector>
 
 #include "common/logging.h"
@@ -186,6 +188,97 @@ TEST(CodecZoo, HammingPhantomCorrectionKeepsDataAndFlagsNoBit)
         return;
     }
     FAIL() << "no phantom syndrome found in an 8-bit space";
+}
+
+/** @return the index of the first of @p n groups whose per-word
+ *  decode() is not Ok, or @p n — the reference for firstUnclean(). */
+std::size_t
+firstUncleanPerWord(const EccCodec &code, const std::uint64_t *words,
+                    const std::uint8_t *checks, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        if (code.decode(words[i], checks[i]).status != EccDecodeStatus::Ok)
+            return i;
+    return n;
+}
+
+TEST(CodecZoo, BatchedCallsMatchThePerWordCalls)
+{
+    // encodeWords() is eight encode()s and firstUnclean() stops where
+    // the per-word decode() first stops being Ok: on clean lines and on
+    // lines with a single or double flip at every word index, for the
+    // devirtualised Hsiao loop and the generic default (Hamming).
+    constexpr std::size_t kWords = 8;
+    Rng rng(33);
+    for (const char *name : {"hsiao", "hsiao:64/8", "hsiao:32",
+                             "hamming64/8"}) {
+        const std::unique_ptr<EccCodec> code =
+            makeCodec(*parseCodecSpec(name));
+        const int data_bits = code->dataBits();
+        const int check_bits = code->checkBits();
+        for (int trial = 0; trial < 16; ++trial) {
+            std::uint64_t words[kWords];
+            std::uint8_t checks[kWords];
+            for (std::uint64_t &word : words)
+                word = rng.next();
+            code->encodeWords(words, checks, kWords);
+            for (std::size_t i = 0; i < kWords; ++i)
+                ASSERT_EQ(checks[i],
+                          static_cast<std::uint8_t>(code->encode(words[i])))
+                    << name << " word " << i;
+            ASSERT_EQ(code->firstUnclean(words, checks, kWords), kWords)
+                << name;
+            EXPECT_EQ(code->firstUnclean(words, checks, 0), 0u) << name;
+
+            for (std::size_t at = 0; at < kWords; ++at) {
+                // Single flips of a data or a check bit, a double data
+                // flip, and a data/check double; each at word `at`.
+                const int a = static_cast<int>(rng.next() % data_bits);
+                const int b = (a + 1 + static_cast<int>(
+                                           rng.next() % (data_bits - 1))) %
+                              data_bits;
+                const int c = static_cast<int>(rng.next() % check_bits);
+                const std::uint64_t data_flips[] = {
+                    1ULL << a, 0, (1ULL << a) | (1ULL << b), 1ULL << a};
+                const std::uint8_t check_flips[] = {
+                    0, static_cast<std::uint8_t>(1u << c), 0,
+                    static_cast<std::uint8_t>(1u << c)};
+                for (std::size_t f = 0; f < 4; ++f) {
+                    std::uint64_t bad_words[kWords];
+                    std::uint8_t bad_checks[kWords];
+                    std::copy(words, words + kWords, bad_words);
+                    std::copy(checks, checks + kWords, bad_checks);
+                    bad_words[at] ^= data_flips[f];
+                    bad_checks[at] ^= check_flips[f];
+                    // A second, later fault must not mask the first.
+                    if (at + 2 < kWords)
+                        bad_words[at + 2] ^= 1ULL << a;
+                    const std::size_t expected = firstUncleanPerWord(
+                        *code, bad_words, bad_checks, kWords);
+                    ASSERT_EQ(expected, at) << name << " flip " << f;
+                    EXPECT_EQ(code->firstUnclean(bad_words, bad_checks,
+                                                 kWords),
+                              expected)
+                        << name << " word " << at << " flip " << f;
+                    // A burst that ends before the fault is clean.
+                    EXPECT_EQ(code->firstUnclean(bad_words, bad_checks, at),
+                              at)
+                        << name << " word " << at << " flip " << f;
+                }
+            }
+        }
+    }
+}
+
+TEST(CodecZoo, BatchedCallsNeedByteWideChecks)
+{
+    // The batched calls carry the DIMM's one check byte per group; a
+    // wider code must refuse them rather than truncate its checks.
+    const HsiaoCode wide(64, 64);
+    std::uint64_t words[8] = {};
+    std::uint8_t checks[8] = {};
+    EXPECT_THROW(wide.encodeWords(words, checks, 8), PanicError);
+    EXPECT_THROW(wide.firstUnclean(words, checks, 8), PanicError);
 }
 
 } // namespace

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/costs.h"
 #include "common/logging.h"
+#include "common/random.h"
 #include "ecc/edc.h"
 #include "ecc/geometry.h"
 #include "ecc/hsiao.h"
@@ -260,6 +262,98 @@ TEST_F(ControllerTest, ScrubCorrectsSinglesAndReportsMulti)
     EXPECT_EQ(lastFault.kind, EccFaultKind::ScrubMultiBit);
 }
 
+TEST_F(ControllerTest, FillSeesWhatTheInterruptHandlerRewrote)
+{
+    // The interrupt for one group may rewrite the rest of the line
+    // (SafeMem's handler unscrambles it). The groups after the faulting
+    // one must come back as the handler left them, each decoded anew —
+    // not as they sat in the burst the fill started from.
+    const EccCodec &code = defaultCodec();
+    const std::uint64_t mask = findScramblePositions(code)->mask();
+    for (std::size_t bad = 0; bad < kEccGroupsPerLine; ++bad) {
+        const PhysAddr line_addr = 256 + bad * kCacheLineSize;
+        std::uint64_t before[kEccGroupsPerLine];
+        std::uint64_t after[kEccGroupsPerLine];
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+            before[i] = 0x0101010101010101ULL * (i + 1) + bad;
+            after[i] = i < bad ? before[i] : ~before[i];
+        }
+        controller.writeLineDeviceOp(line_addr, before);
+        // Scramble groups bad..7 with stale check bytes.
+        controller.setMode(EccMode::Disabled);
+        for (std::size_t i = bad; i < kEccGroupsPerLine; ++i)
+            controller.writeWordDeviceOp(line_addr + i * kEccGroupSize,
+                                         before[i] ^ mask);
+        controller.setMode(EccMode::CorrectError);
+
+        int raised = 0;
+        controller.setInterruptHandler([&](const EccFaultInfo &info) {
+            ++raised;
+            EXPECT_EQ(info.wordIndex, static_cast<int>(bad));
+            controller.writeLineDeviceOp(line_addr, after);
+        });
+        LineData out{};
+        EXPECT_FALSE(controller.fillLine(line_addr, out)) << bad;
+        EXPECT_EQ(raised, 1) << "group " << bad;
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+            // The faulting group is forwarded raw, as read.
+            const std::uint64_t expected =
+                i == bad ? before[i] ^ mask : after[i];
+            EXPECT_EQ(lineWord(out, i), expected)
+                << "fault at " << bad << ", word " << i;
+        }
+        // The retried fill is clean.
+        EXPECT_TRUE(controller.fillLine(line_addr, out));
+        EXPECT_EQ(raised, 1);
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+            EXPECT_EQ(lineWord(out, i), after[i]) << bad << " " << i;
+    }
+}
+
+TEST_F(ControllerTest, LineDeviceOpsHonourTheMode)
+{
+    const EccCodec &code = defaultCodec();
+    std::uint64_t words[kEccGroupsPerLine];
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+        words[i] = 0x1234567ULL * (i + 3);
+    controller.writeLineDeviceOp(64, words);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+        EXPECT_EQ(memory.readWord(64 + i * kEccGroupSize), words[i]);
+        EXPECT_EQ(memory.readCheck(64 + i * kEccGroupSize),
+                  code.encode(words[i]));
+    }
+
+    // With ECC Disabled an XOR leaves every check byte stale ...
+    const std::uint64_t mask = 0x8000000000000011ULL;
+    controller.setMode(EccMode::Disabled);
+    controller.xorLineDeviceOp(64, mask);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+        EXPECT_EQ(memory.readWord(64 + i * kEccGroupSize), words[i] ^ mask);
+        EXPECT_EQ(memory.readCheck(64 + i * kEccGroupSize),
+                  code.encode(words[i]));
+    }
+    // ... and so does a Disabled writeback.
+    LineData line{};
+    controller.evictLine(64, line);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+        EXPECT_EQ(memory.readWord(64 + i * kEccGroupSize), 0u);
+        EXPECT_EQ(memory.readCheck(64 + i * kEccGroupSize),
+                  code.encode(words[i]));
+    }
+
+    // With ECC on, the XOR re-encodes.
+    controller.setMode(EccMode::CorrectError);
+    controller.xorLineDeviceOp(64, mask);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+        EXPECT_EQ(memory.readWord(64 + i * kEccGroupSize), mask);
+        EXPECT_EQ(memory.readCheck(64 + i * kEccGroupSize),
+                  code.encode(mask));
+    }
+    EXPECT_THROW(controller.xorLineDeviceOp(72, mask), PanicError);
+    EXPECT_THROW(controller.writeLineDeviceOp(memory.size(), words),
+                 PanicError);
+}
+
 TEST_F(ControllerTest, BusLockBlocksTransfersViaPanic)
 {
     controller.lockBus();
@@ -434,6 +528,136 @@ TEST(PhysicalMemory, TailOfNonPageMultipleCapacity)
     EXPECT_THROW(memory.readEdc(bytes), PanicError);
     EXPECT_THROW(memory.flipCheckBit(bytes, 0), PanicError);
     EXPECT_THROW(memory.pageTouched(bytes), PanicError);
+}
+
+TEST(PhysicalMemory, LineBurstsAgreeWithWordAccess)
+{
+    // Random line writes through either interface read back the same
+    // through both, on a capacity whose tail frame is a partial page.
+    const std::size_t bytes = 3 * kPageSize + 2 * kCacheLineSize;
+    PhysicalMemory bursts(bytes);
+    PhysicalMemory words(bytes);
+    Rng rng(17);
+    for (int op = 0; op < 400; ++op) {
+        const PhysAddr line =
+            rng.next() % (bytes / kCacheLineSize) * kCacheLineSize;
+        std::uint64_t data[kEccGroupsPerLine];
+        std::uint8_t checks[kEccGroupsPerLine];
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+            data[i] = rng.next();
+            checks[i] = static_cast<std::uint8_t>(rng.next());
+        }
+        if (op % 2 == 0) {
+            bursts.writeLine(line, data, checks);
+            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+                words.writeWord(line + i * kEccGroupSize, data[i]);
+                words.writeCheck(line + i * kEccGroupSize, checks[i]);
+            }
+        } else {
+            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+                bursts.writeWord(line + i * kEccGroupSize, data[i]);
+                bursts.writeCheck(line + i * kEccGroupSize, checks[i]);
+            }
+            words.writeLine(line, data, checks);
+        }
+    }
+    for (PhysAddr line = 0; line < bytes; line += kCacheLineSize) {
+        std::uint64_t data[kEccGroupsPerLine];
+        std::uint8_t checks[kEccGroupsPerLine];
+        bursts.readLine(line, data, checks);
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+            const PhysAddr addr = line + i * kEccGroupSize;
+            ASSERT_EQ(data[i], bursts.readWord(addr)) << addr;
+            ASSERT_EQ(checks[i], bursts.readCheck(addr)) << addr;
+            ASSERT_EQ(data[i], words.readWord(addr)) << addr;
+            ASSERT_EQ(checks[i], words.readCheck(addr)) << addr;
+        }
+        EXPECT_EQ(bursts.pageTouched(line), words.pageTouched(line));
+    }
+}
+
+TEST(PhysicalMemory, LineReadOfUntouchedPageIsZeroAndAllocatesNothing)
+{
+    PhysicalMemory memory(4 * kPageSize);
+    for (PhysAddr line : {PhysAddr{0}, PhysAddr{kPageSize + 64},
+                          PhysAddr{4 * kPageSize - 64}}) {
+        std::uint64_t data[kEccGroupsPerLine];
+        std::uint8_t checks[kEccGroupsPerLine];
+        std::fill_n(data, kEccGroupsPerLine, ~0ULL);
+        std::fill_n(checks, kEccGroupsPerLine, 0xff);
+        memory.readLine(line, data, checks);
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+            EXPECT_EQ(data[i], 0u) << line;
+            EXPECT_EQ(checks[i], 0u) << line;
+        }
+        std::fill_n(data, kEccGroupsPerLine, ~0ULL);
+        memory.readLine(line, data, nullptr);
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+            EXPECT_EQ(data[i], 0u) << line;
+        EXPECT_FALSE(memory.pageTouched(line));
+    }
+    EXPECT_EQ(touchedPages(memory), 0u);
+}
+
+TEST(PhysicalMemory, LineWriteMaterialisesOnlyItsPageAndNullKeepsChecks)
+{
+    const PhysAddr target = 2 * kPageSize + 192;
+    PhysicalMemory memory(4 * kPageSize);
+    memory.writeCheck(target + 16, 0x5a);
+    ASSERT_EQ(touchedPages(memory), 1u);
+
+    std::uint64_t data[kEccGroupsPerLine];
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+        data[i] = 0x1111ULL * (i + 1);
+    memory.writeLine(target, data, nullptr);
+    for (PhysAddr page = 0; page < memory.size(); page += kPageSize)
+        EXPECT_EQ(memory.pageTouched(page),
+                  page == alignDown(target, kPageSize))
+            << page;
+    // Data landed; the check lane is as it was.
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+        EXPECT_EQ(memory.readWord(target + i * kEccGroupSize), data[i]);
+        EXPECT_EQ(memory.readCheck(target + i * kEccGroupSize),
+                  i == 2 ? 0x5a : 0);
+    }
+    // Neighbouring lines of the page still read zero-filled.
+    EXPECT_EQ(memory.readWord(target - 8), 0u);
+    EXPECT_EQ(memory.readWord(target + kCacheLineSize), 0u);
+
+    PhysicalMemory fresh(4 * kPageSize);
+    fresh.writeLine(kPageSize, data, nullptr);
+    EXPECT_EQ(touchedPages(fresh), 1u);
+    EXPECT_TRUE(fresh.pageTouched(kPageSize));
+    EXPECT_EQ(fresh.readCheck(kPageSize), 0u);
+}
+
+TEST(PhysicalMemory, LineBurstsRejectMisalignedAndPastCapacityLines)
+{
+    const std::size_t bytes = kPageSize + kCacheLineSize;
+    PhysicalMemory memory(bytes);
+    std::uint64_t data[kEccGroupsPerLine] = {1, 2, 3, 4, 5, 6, 7, 8};
+    std::uint8_t checks[kEccGroupsPerLine] = {};
+    for (PhysAddr bad : {PhysAddr{8}, PhysAddr{kPageSize + 32},
+                         PhysAddr{bytes}, PhysAddr{4 * kPageSize}}) {
+        EXPECT_THROW(memory.readLine(bad, data, checks), PanicError) << bad;
+        EXPECT_THROW(memory.readLine(bad, data, nullptr), PanicError)
+            << bad;
+        EXPECT_THROW(memory.writeLine(bad, data, checks), PanicError)
+            << bad;
+        EXPECT_THROW(memory.writeLine(bad, data, nullptr), PanicError)
+            << bad;
+    }
+    EXPECT_EQ(touchedPages(memory), 0u);
+
+    // The tail line of the partial frame is addressable up to the
+    // capacity.
+    const PhysAddr tail = kPageSize;
+    memory.writeLine(tail, data, checks);
+    std::uint64_t back[kEccGroupsPerLine];
+    memory.readLine(tail, back, nullptr);
+    EXPECT_TRUE(std::equal(data, data + kEccGroupsPerLine, back));
+    EXPECT_TRUE(memory.pageTouched(tail));
+    EXPECT_FALSE(memory.pageTouched(0));
 }
 
 TEST(PhysicalMemory, FourGibMachineTouchesOnlyItsFootprint)
