@@ -132,8 +132,8 @@ runCell(const CellSpec &spec, std::uint64_t batches, std::uint64_t seed)
     machine.cache().flushAll();
     allocator.deallocate(raw);
 
-    const StatSet &ctrl = machine.controller().stats();
-    const StatSet &geom = machine.controller().geometryStats();
+    const StatSet ctrl = machine.controller().stats();
+    const StatSet geom = machine.controller().geometryStats();
     out.cycles = machine.clock().now();
     out.lineFills = ctrl.get(ControllerStat::LineFills);
     out.lineEvictions = ctrl.get(ControllerStat::LineEvictions);

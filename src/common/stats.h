@@ -21,6 +21,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace safemem {
 
 /**
@@ -164,6 +166,26 @@ class StatSet
                 merged[slotNames_[i]] = slotValues_[i];
         }
         return merged;
+    }
+
+    /**
+     * Add every counter of @p other into this set, which must share its
+     * slot table (panics otherwise). A slot is touched when it is
+     * touched in either set and fallback counters are summed by name,
+     * so all() of the sum lists exactly the names either set lists.
+     */
+    void
+    addAll(const StatSet &other)
+    {
+        if (other.slotNames_ != slotNames_)
+            panic("StatSet::addAll: the two sets register different "
+                  "slot tables");
+        for (std::size_t i = 0; i < other.slotValues_.size(); ++i) {
+            slotTouched_[i] |= other.slotTouched_[i];
+            slotValues_[i] += other.slotValues_[i];
+        }
+        for (const auto &[name, value] : other.counters_)
+            counters_[name] += value;
     }
 
     /** @return the registered slot-name table (reporting, tests). */

@@ -14,7 +14,7 @@
  * convention:
  *
  *  - CAPABILITY(name) / SCOPED_CAPABILITY mark classes that *are* locks
- *    (safemem::Mutex, RAII guards such as MutexLock and BusLockGuard);
+ *    (safemem::Mutex and its RAII guard MutexLock);
  *  - GUARDED_BY(mu) / PT_GUARDED_BY(mu) mark the data a lock protects;
  *  - REQUIRES / ACQUIRE / RELEASE / TRY_ACQUIRE / EXCLUDES describe a
  *    function's locking contract;

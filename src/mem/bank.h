@@ -4,19 +4,17 @@
  *
  * Physical memory is page-interleaved across N banks: page p lives in
  * bank p % N, so every cache line and every frame is wholly owned by
- * exactly one bank. Each bank carries its own annotated lock capability
- * (the per-bank face of the old global bus lock), its own scrubber
- * cursor, and its own ControllerStat slots; the machine-wide StatSet on
- * the controller stays the bit-compatible roll-up of the per-bank
- * slots. With one bank the machine degenerates to the original
- * single-bus chipset.
+ * exactly one bank. Each bank carries its own bus lock (the paper's
+ * memory-bus lock, per bank), its own scrubber cursor, and the only
+ * copy of its ControllerStat and GeometryStat counters; the
+ * controller's machine-wide view is their sum. With one bank the
+ * machine degenerates to the original single-bus chipset.
  */
 
 #pragma once
 
 #include <cstddef>
 
-#include "common/mutex.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -49,9 +47,8 @@ inline constexpr const char *kControllerStatNames[] = {
 /**
  * Slot indices into the block-geometry StatSet; order matches
  * kGeometryStatNames. These slots only move on block-geometry machines:
- * the per-word SEC-DED default never touches them, and the driver only
- * merges them into run results under a block geometry, keeping
- * word-geometry stat maps byte-identical to the pre-geometry machine.
+ * the per-word SEC-DED default never touches them, so they stay absent
+ * from a word-geometry machine's StatSet::all() snapshot.
  */
 enum class GeometryStat : std::size_t
 {
@@ -87,8 +84,9 @@ inline constexpr const char *kGeometryStatNames[] = {
 
 /**
  * Per-bank state owned by the MemoryController. The controller is the
- * only mutator (lockBank/unlockBank/scrubBank); everyone else reads
- * through the const accessors.
+ * only mutator (its private lockBank/unlockBank, reached through
+ * BankSetLockGuard, and scrubBank); everyone else reads through the
+ * const accessors.
  */
 class MemoryBank
 {
@@ -114,18 +112,11 @@ class MemoryBank
      *  (all-zero on a word-geometry machine). */
     const StatSet &geometryStats() const { return geomStats_; }
 
-    /** The bank-lock capability, for ACQUIRE/RELEASE/REQUIRES clauses. */
-    const Capability &capability() const RETURN_CAPABILITY(capability_)
-    {
-        return capability_;
-    }
-
   private:
     friend class MemoryController;
 
     unsigned id_;
-    Capability capability_; ///< compile-time face of the bank lock
-    bool locked_ = false;   ///< runtime face, audited by SimCheck
+    bool locked_ = false;  ///< bus lock, audited by SimCheck
     PhysAddr scrubCursor_;  ///< patrol position within this bank's slice
     StatSet stats_{kControllerStatNames};
     StatSet geomStats_{kGeometryStatNames};

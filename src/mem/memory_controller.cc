@@ -60,6 +60,7 @@ MemoryController::MemoryController(PhysicalMemory &memory, CycleClock &clock,
         panic("MemoryController: geometry '", geometryName(geometry_),
               "' but the DIMM is organised for '",
               geometryName(memory_.geometry()), "'");
+    banks_.reserve(banks);
     for (unsigned b = 0; b < banks; ++b)
         banks_.emplace_back(b);
 }
@@ -101,7 +102,6 @@ MemoryController::lockBank(unsigned id)
     if (bank.locked_)
         panic("MemoryController: bus already locked");
     bank.locked_ = true;
-    stats_.add(ControllerStat::BusLocks);
     bank.stats_.add(ControllerStat::BusLocks);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerBusLock, clock_.now(),
                        id);
@@ -121,48 +121,27 @@ MemoryController::unlockBank(unsigned id)
                        id);
 }
 
-bool
-MemoryController::bankLocked(unsigned id) const
+StatSet
+MemoryController::stats() const
 {
-    return banks_.at(id).locked_;
-}
-
-void
-MemoryController::lockBus()
-{
-    for (unsigned b = 0; b < banks_.size(); ++b)
-        lockBank(b);
-}
-
-void
-MemoryController::unlockBus()
-{
-    for (unsigned b = static_cast<unsigned>(banks_.size()); b-- > 0;)
-        unlockBank(b);
-}
-
-bool
-MemoryController::busLocked() const
-{
+    StatSet sum(kControllerStatNames);
     for (const MemoryBank &bank : banks_)
-        if (!bank.locked_)
-            return false;
-    return true;
+        sum.addAll(bank.stats_);
+    return sum;
 }
 
-bool
-MemoryController::anyBankLocked() const
+StatSet
+MemoryController::geometryStats() const
 {
+    StatSet sum(kGeometryStatNames);
     for (const MemoryBank &bank : banks_)
-        if (bank.locked_)
-            return true;
-    return false;
+        sum.addAll(bank.geomStats_);
+    return sum;
 }
 
 void
 MemoryController::raise(const EccFaultInfo &info)
 {
-    stats_.add(ControllerStat::InterruptsRaised);
     banks_[info.bank].stats_.add(ControllerStat::InterruptsRaised);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerInterrupt, clock_.now(),
                        info.lineAddr,
@@ -195,7 +174,6 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
       case EccDecodeStatus::CorrectedSingle:
         if (mode_ == EccMode::CheckOnly) {
             // Check-Only mode detects and reports but never corrects.
-            stats_.add(ControllerStat::SingleBitReported);
             banks_[bank_id].stats_.add(ControllerStat::SingleBitReported);
             EccFaultInfo info;
             info.kind = EccFaultKind::UnreportedSingle;
@@ -211,7 +189,6 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
             return true;
         }
         // Correct transparently and heal the stored copy.
-        stats_.add(ControllerStat::SingleBitCorrected);
         banks_[bank_id].stats_.add(ControllerStat::SingleBitCorrected);
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerSingleBitCorrected,
                            clock_.now(), word_addr);
@@ -230,7 +207,6 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
         return true;
 
       case EccDecodeStatus::Uncorrectable: {
-        stats_.add(ControllerStat::MultiBitDetected);
         banks_[bank_id].stats_.add(ControllerStat::MultiBitDetected);
         EccFaultInfo info;
         info.kind = scrubbing ? EccFaultKind::ScrubMultiBit
@@ -265,14 +241,6 @@ MemoryController::edcConsistent(PhysAddr line_addr) const
     return storedLineFold(line_addr) == memory_.readEdc(line_addr);
 }
 
-void
-MemoryController::geomAdd(GeometryStat stat, unsigned bank_id,
-                          std::uint64_t delta)
-{
-    geomStats_.add(stat, delta);
-    banks_[bank_id].geomStats_.add(stat, delta);
-}
-
 bool
 MemoryController::latentDecodeWord(PhysAddr word_addr)
 {
@@ -292,7 +260,6 @@ MemoryController::latentDecodeWord(PhysAddr word_addr)
             // an EDC refresh. Nothing is raised either — reporting is
             // for demanded reads, and nobody demanded this word.
             return false;
-        stats_.add(ControllerStat::SingleBitCorrected);
         banks_[bank_id].stats_.add(ControllerStat::SingleBitCorrected);
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerSingleBitCorrected,
                            clock_.now(), word_addr);
@@ -312,7 +279,7 @@ MemoryController::latentDecodeWord(PhysAddr word_addr)
         // latent instead of raising, so a scrambled neighbour sharing
         // the codeword cannot storm the interrupt wire. It raises for
         // real the moment something actually reads its line.
-        geomAdd(GeometryStat::LatentFaultWords, bank_id);
+        banks_[bank_id].geomStats_.add(GeometryStat::LatentFaultWords);
         return false;
     }
     return true;
@@ -326,14 +293,15 @@ MemoryController::blockDecode(PhysAddr line_addr, bool scrubbing,
     const unsigned bank_id = bankOf(line_addr);
     const std::size_t cw_lines = geometry_.codewordBytes / kCacheLineSize;
     const std::size_t cw_words = geometry_.codewordBytes / kEccGroupSize;
+    StatSet &geom = banks_[bank_id].geomStats_;
 
-    geomAdd(GeometryStat::BlockDecodes, bank_id);
-    geomAdd(GeometryStat::BlockDecodeWords, bank_id, cw_words);
+    geom.add(GeometryStat::BlockDecodes);
+    geom.add(GeometryStat::BlockDecodeWords, cw_words);
     // The demanded line arrived with the burst already; the decode
     // fetches the rest of the codeword plus the long-code redundancy.
-    geomAdd(GeometryStat::RedundancyBytesRead, bank_id,
-            geometry_.codewordBytes - kCacheLineSize +
-                blockEccCheckBytes(geometry_.codewordBytes));
+    geom.add(GeometryStat::RedundancyBytesRead,
+             geometry_.codewordBytes - kCacheLineSize +
+                 blockEccCheckBytes(geometry_.codewordBytes));
     Cycles cost = static_cast<Cycles>(cw_words) * kBlockDecodeWordCycles;
     if (scrubbing)
         clock_.advance(cost, CostCenter::Kernel);
@@ -370,9 +338,9 @@ MemoryController::blockDecode(PhysAddr line_addr, bool scrubbing,
             std::uint64_t fold = storedLineFold(cur);
             if (fold != memory_.readEdc(cur)) {
                 memory_.writeEdc(cur, fold);
-                geomAdd(GeometryStat::EdcRefreshes, bank_id);
-                geomAdd(GeometryStat::RedundancyBytesWritten, bank_id,
-                        edcFoldBytes(geometry_.edc));
+                geom.add(GeometryStat::EdcRefreshes);
+                geom.add(GeometryStat::RedundancyBytesWritten,
+                         edcFoldBytes(geometry_.edc));
             }
         }
     }
@@ -392,7 +360,6 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
         panic("MemoryController: fill while memory bus is locked");
 
     clock_.advance(kDramLineCycles);
-    stats_.add(ControllerStat::LineFills);
     banks_[bank_id].stats_.add(ControllerStat::LineFills);
 
     bool ok = true;
@@ -420,20 +387,21 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
     } else {
         // Block geometry: verify the line's EDC fold that rode in with
         // the burst; only an EDC miss pays the long-code decode.
-        geomAdd(GeometryStat::DataBytesRead, bank_id, kCacheLineSize);
-        geomAdd(GeometryStat::RedundancyBytesRead, bank_id,
-                edcFoldBytes(geometry_.edc));
+        StatSet &geom = banks_[bank_id].geomStats_;
+        geom.add(GeometryStat::DataBytesRead, kCacheLineSize);
+        geom.add(GeometryStat::RedundancyBytesRead,
+                 edcFoldBytes(geometry_.edc));
         clock_.advance(kEdcCheckCycles);
         PhysAddr cw = alignDown(line_addr, geometry_.codewordBytes);
         memory_.readLine(line_addr, words, nullptr);
         if (edcLineFold(geometry_.edc, words, kEccGroupsPerLine) ==
             memory_.readEdc(line_addr)) {
-            geomAdd(GeometryStat::EdcChecksPassed, bank_id);
+            geom.add(GeometryStat::EdcChecksPassed);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EdcCheckPass,
                                clock_.now(), line_addr, cw, bank_id);
             std::memcpy(out.data(), words, kCacheLineSize);
         } else {
-            geomAdd(GeometryStat::EdcChecksFailed, bank_id);
+            geom.add(GeometryStat::EdcChecksFailed);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EdcCheckFail,
                                clock_.now(), line_addr, cw, bank_id);
             ok = blockDecode(line_addr, false, &out);
@@ -450,15 +418,15 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
     if (!isAligned(line_addr, kCacheLineSize))
         panic("MemoryController: unaligned eviction address ", line_addr);
     unsigned bank_id = bankOf(line_addr);
+    MemoryBank &bank = banks_[bank_id];
     SIMCHECK_AUDIT(AuditDomain::MemoryController, "no_traffic_while_locked",
-                   !banks_[bank_id].locked_, "cache writeback of line ",
-                   line_addr, " while bank ", bank_id, "'s bus is locked");
-    if (banks_[bank_id].locked_)
+                   !bank.locked_, "cache writeback of line ", line_addr,
+                   " while bank ", bank_id, "'s bus is locked");
+    if (bank.locked_)
         panic("MemoryController: writeback while memory bus is locked");
 
     clock_.advance(kDramLineCycles);
-    stats_.add(ControllerStat::LineEvictions);
-    banks_[bank_id].stats_.add(ControllerStat::LineEvictions);
+    bank.stats_.add(ControllerStat::LineEvictions);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerEvict, clock_.now(),
                        line_addr, bank_id);
 
@@ -476,26 +444,26 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
         memory_.writeEdc(line_addr,
                          edcLineFold(geometry_.edc, words,
                                      kEccGroupsPerLine));
-        geomAdd(GeometryStat::DataBytesWritten, bank_id, kCacheLineSize);
-        geomAdd(GeometryStat::RedundancyBytesWritten, bank_id,
-                edcFoldBytes(geometry_.edc));
+        bank.geomStats_.add(GeometryStat::DataBytesWritten, kCacheLineSize);
+        bank.geomStats_.add(GeometryStat::RedundancyBytesWritten,
+                            edcFoldBytes(geometry_.edc));
         // The long-code ECC spans the whole codeword. A writeback that
         // opens a new codeword pays a full read-modify-write (fetch the
         // old line and redundancy, merge, rewrite); further writebacks
         // into the open codeword fold their update in incrementally —
         // the amortisation sequential streams are built to hit.
         PhysAddr cw = alignDown(line_addr, geometry_.codewordBytes);
-        MemoryBank &bank = banks_[bank_id];
         if (bank.openCodeword_ == cw) {
-            geomAdd(GeometryStat::OpenCodewordHits, bank_id);
+            bank.geomStats_.add(GeometryStat::OpenCodewordHits);
             clock_.advance(kEdcUpdateCycles);
         } else {
-            geomAdd(GeometryStat::PartialWriteRmws, bank_id);
-            geomAdd(GeometryStat::RedundancyBytesRead, bank_id,
-                    kCacheLineSize +
-                        blockEccCheckBytes(geometry_.codewordBytes));
-            geomAdd(GeometryStat::RedundancyBytesWritten, bank_id,
-                    blockEccCheckBytes(geometry_.codewordBytes));
+            const std::uint64_t ecc_bytes =
+                blockEccCheckBytes(geometry_.codewordBytes);
+            bank.geomStats_.add(GeometryStat::PartialWriteRmws);
+            bank.geomStats_.add(GeometryStat::RedundancyBytesRead,
+                                kCacheLineSize + ecc_bytes);
+            bank.geomStats_.add(GeometryStat::RedundancyBytesWritten,
+                                ecc_bytes);
             clock_.advance(kPartialWriteRmwCycles);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::PartialWriteRmw,
                                clock_.now(), line_addr, cw, bank_id);
@@ -536,38 +504,6 @@ MemoryController::auditWritebackCoherence(PhysAddr line_addr,
                        edcConsistent(line_addr),
                        "stored EDC fold stale after writeback of line ",
                        line_addr);
-    }
-}
-
-void
-MemoryController::auditBankRollup() const
-{
-    constexpr std::size_t slots =
-        sizeof(kControllerStatNames) / sizeof(kControllerStatNames[0]);
-    for (std::size_t s = 0; s < slots; ++s) {
-        auto stat = static_cast<ControllerStat>(s);
-        std::uint64_t sum = 0;
-        for (const MemoryBank &bank : banks_)
-            sum += bank.stats().get(stat);
-        SIMCHECK_AUDIT(AuditDomain::MemoryController, "bank_stat_rollup",
-                       sum == stats_.get(stat),
-                       "per-bank '", kControllerStatNames[s],
-                       "' slots sum to ", sum, " but the machine-wide "
-                       "counter reads ", stats_.get(stat));
-    }
-    constexpr std::size_t geom_slots =
-        sizeof(kGeometryStatNames) / sizeof(kGeometryStatNames[0]);
-    for (std::size_t s = 0; s < geom_slots; ++s) {
-        auto stat = static_cast<GeometryStat>(s);
-        std::uint64_t sum = 0;
-        for (const MemoryBank &bank : banks_)
-            sum += bank.geometryStats().get(stat);
-        SIMCHECK_AUDIT(AuditDomain::MemoryController, "bank_stat_rollup",
-                       sum == geomStats_.get(stat),
-                       "per-bank '", kGeometryStatNames[s],
-                       "' geometry slots sum to ", sum,
-                       " but the machine-wide counter reads ",
-                       geomStats_.get(stat));
     }
 }
 
@@ -636,7 +572,6 @@ MemoryController::scrubRange(PhysAddr start_line, std::size_t lines)
     }
 
     unsigned bank_id = bankOf(start_line);
-    stats_.add(ControllerStat::ScrubPasses);
     banks_[bank_id].stats_.add(ControllerStat::ScrubPasses);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerScrubBegin, clock_.now(),
                        start_line, lines, bank_id);
@@ -685,7 +620,6 @@ MemoryController::scrubBank(unsigned id)
     for (PhysAddr page = first; page < memory_.size(); page += stride)
         line_count += kPageSize / kCacheLineSize;
 
-    stats_.add(ControllerStat::ScrubPasses);
     bank.stats_.add(ControllerStat::ScrubPasses);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerScrubBegin, clock_.now(),
                        first, line_count, id);

@@ -16,10 +16,11 @@
  * the interrupt for one group may rewrite the remainder of the line.
  *
  * Physical memory is page-interleaved across numBanks() MemoryBank
- * objects (bank.h). Each bank has its own lock capability and stat
- * slots; lockBus() is now the compatibility shim that locks every bank
- * in ascending order. Traffic is gated per bank: a fill of bank 2
- * proceeds while bank 0 is locked for a scramble.
+ * objects (bank.h). The bank is the controller's only unit of locking
+ * and of accounting: a BankSetLockGuard is the one way to take bank
+ * locks, every stat site bumps one bank's slot, and stats() /
+ * geometryStats() sum the banks. Traffic is gated per bank: a fill of
+ * bank 2 proceeds while bank 0 is locked for a scramble.
  *
  * Device-initiated accesses used by the kernel (word writes during a
  * scramble, raw line peeks) charge no cycles; the kernel bills calibrated
@@ -30,10 +31,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/clock.h"
-#include "common/mutex.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "ecc/codec.h"
@@ -104,40 +104,6 @@ class MemoryController
     /// @}
 
     /**
-     * @name Memory-bus lock (held around scrambles, paper §2.2.2).
-     *
-     * Each bank is an independently lockable bus segment: lockBank(b)
-     * stalls only traffic to bank b. lockBus()/unlockBus() remain as the
-     * whole-machine operation — they lock every bank in ascending order
-     * (and release in descending order) and still acquire/release
-     * busCapability(), so Clang's thread-safety analysis rejects
-     * double-locking and lock-leaking call paths at compile time. Prefer
-     * the RAII guards below — a panic() between a bare lock/unlock pair
-     * would otherwise unwind with a bank stuck locked.
-     */
-    /// @{
-    void lockBank(unsigned id);
-    void unlockBank(unsigned id);
-    bool bankLocked(unsigned id) const;
-
-    void lockBus() ACQUIRE(busCapability_);
-    void unlockBus() RELEASE(busCapability_);
-
-    /** @return whether every bank is locked (the whole-bus view). */
-    bool busLocked() const;
-
-    /** @return whether any bank is locked. */
-    bool anyBankLocked() const;
-
-    /** The bus-lock capability, for ACQUIRE/RELEASE/REQUIRES clauses. */
-    const Capability &
-    busCapability() const RETURN_CAPABILITY(busCapability_)
-    {
-        return busCapability_;
-    }
-    /// @}
-
-    /**
      * Cache-initiated line fill with full ECC decode.
      *
      * @param line_addr line-aligned physical address.
@@ -194,29 +160,38 @@ class MemoryController
     /** Scrub all of physical memory, bank by bank in ascending order. */
     void scrubAll();
 
-    /** @return machine-wide controller statistics (roll-up of banks). */
-    const StatSet &stats() const { return stats_; }
+    /** @return machine-wide controller statistics: the sum of the
+     *  banks' slots, built on each call. */
+    StatSet stats() const;
 
-    /** @return machine-wide block-geometry statistics (roll-up of the
-     *  per-bank slices; all-zero on the word default). */
-    const StatSet &geometryStats() const { return geomStats_; }
+    /** @return machine-wide block-geometry statistics: the sum of the
+     *  banks' slots (none touched on the word default). */
+    StatSet geometryStats() const;
 
     /** @return whether the stored EDC fold of the line at @p line_addr
      *  matches its stored data. Trivially true on the word default
      *  (no EDC lane exists). Uncharged — SimCheck audits and tests. */
     bool edcConsistent(PhysAddr line_addr) const;
 
-    /**
-     * SimCheck: every machine-wide counter must equal the sum of the
-     * per-bank slots — each stat site bumps exactly one bank alongside
-     * the roll-up (run only while auditing is enabled).
-     */
-    void auditBankRollup() const;
-
     /** @return underlying DRAM (fault injection in tests). */
     PhysicalMemory &memory() { return memory_; }
 
   private:
+    friend class BankSetLockGuard;
+
+    /**
+     * @name Memory-bus lock (held around scrambles, paper §2.2.2).
+     *
+     * Each bank is an independently lockable bus segment: lockBank(b)
+     * stalls only traffic to bank b. Locking a held bank or unlocking a
+     * free one panics. Only BankSetLockGuard calls these, so every bank
+     * lock is released on scope exit, panics included.
+     */
+    /// @{
+    void lockBank(unsigned id);
+    void unlockBank(unsigned id);
+    /// @}
+
     /**
      * Decode one group during a fill/scrub.
      * @return false on an uncorrectable error (interrupt already raised).
@@ -227,10 +202,6 @@ class MemoryController
     /** @return the EDC fold of the stored data of the line at
      *  @p line_addr (block geometries only). */
     std::uint64_t storedLineFold(PhysAddr line_addr) const;
-
-    /** Bump a block-geometry stat machine-wide and on @p bank_id. */
-    void geomAdd(GeometryStat stat, unsigned bank_id,
-                 std::uint64_t delta = 1);
 
     /**
      * Full long-code ECC decode of the codeword containing
@@ -268,95 +239,56 @@ class MemoryController
     CycleClock &clock_;
     const EccCodec &code_;
     EccMode mode_ = EccMode::CorrectError;
-    Capability busCapability_; ///< compile-time face of the all-banks lock
-    /** Banks hold a Capability each, so they never move; a deque
-     *  constructs them in place and leaves them put. */
-    std::deque<MemoryBank> banks_;
+    std::vector<MemoryBank> banks_;
     EccInterruptHandler interruptHandler_;
     Trace *trace_;
     ProtectionGeometry geometry_;
-    StatSet stats_{kControllerStatNames};
-    StatSet geomStats_{kGeometryStatNames};
 };
 
 /**
- * RAII holder of the whole memory bus (every bank). The kernel's
- * scramble and unscramble paths panic on malformed requests *while the
- * bus is locked*; unwinding through this guard releases the bus instead
- * of wedging every later lockBus() (see test_lock_discipline.cc).
- */
-class SCOPED_CAPABILITY BusLockGuard
-{
-  public:
-    explicit BusLockGuard(MemoryController &controller)
-        ACQUIRE(controller.busCapability())
-        : controller_(controller)
-    {
-        controller_.lockBus();
-    }
-
-    ~BusLockGuard() RELEASE() { controller_.unlockBus(); }
-
-    BusLockGuard(const BusLockGuard &) = delete;
-    BusLockGuard &operator=(const BusLockGuard &) = delete;
-
-  private:
-    MemoryController &controller_;
-};
-
-/**
- * RAII holder of a single bank's lock. Bank indices are runtime values,
- * so the static analysis cannot name the capability; the SimCheck
- * pairing audit and the lock-order lint carry the discipline instead.
- */
-class BankLockGuard
-{
-  public:
-    BankLockGuard(MemoryController &controller, unsigned bank)
-        : controller_(controller), bank_(bank)
-    {
-        controller_.lockBank(bank_);
-    }
-
-    ~BankLockGuard() { controller_.unlockBank(bank_); }
-
-    BankLockGuard(const BankLockGuard &) = delete;
-    BankLockGuard &operator=(const BankLockGuard &) = delete;
-
-  private:
-    MemoryController &controller_;
-    unsigned bank_;
-};
-
-/**
- * RAII holder of a set of bank locks, given as a bit mask. Locks
- * ascending and releases descending, matching lockBus()'s whole-machine
- * order so mixed users can never deadlock in a future preemptive world.
+ * RAII holder of a set of bank locks, given as a bit mask (bits at or
+ * above numBanks() are ignored, so ~0 takes every bank). This is the
+ * only way to lock a bank. It locks ascending and releases descending,
+ * so two guards can never deadlock in a future preemptive world. The
+ * kernel's scramble and unscramble paths panic on malformed requests
+ * while banks are held; unwinding through the guard releases them
+ * instead of wedging every later lock (see test_lock_discipline.cc). A
+ * constructor that panics part-way releases the banks it already took.
  */
 class BankSetLockGuard
 {
   public:
     BankSetLockGuard(MemoryController &controller, std::uint64_t mask)
-        : controller_(controller), mask_(mask)
+        : controller_(controller)
     {
-        for (unsigned b = 0; b < controller_.numBanks(); ++b)
-            if (mask_ >> b & 1)
-                controller_.lockBank(b);
+        try {
+            for (unsigned b = 0; b < controller_.numBanks(); ++b) {
+                if (mask >> b & 1) {
+                    controller_.lockBank(b);
+                    held_ |= std::uint64_t{1} << b;
+                }
+            }
+        } catch (...) {
+            release();
+            throw;
+        }
     }
 
-    ~BankSetLockGuard()
-    {
-        for (unsigned b = controller_.numBanks(); b-- > 0;)
-            if (mask_ >> b & 1)
-                controller_.unlockBank(b);
-    }
+    ~BankSetLockGuard() { release(); }
 
     BankSetLockGuard(const BankSetLockGuard &) = delete;
     BankSetLockGuard &operator=(const BankSetLockGuard &) = delete;
 
   private:
+    void release()
+    {
+        for (unsigned b = controller_.numBanks(); b-- > 0;)
+            if (held_ >> b & 1)
+                controller_.unlockBank(b);
+    }
+
     MemoryController &controller_;
-    std::uint64_t mask_;
+    std::uint64_t held_ = 0; ///< banks this guard actually locked
 };
 
 } // namespace safemem

@@ -918,10 +918,6 @@ Kernel::auditInvariants() const
                            " filed under bank ", b);
         }
     }
-
-    // The controller's machine-wide stats must stay the exact roll-up
-    // of its per-bank slots.
-    controller_.auditBankRollup();
 }
 
 } // namespace safemem

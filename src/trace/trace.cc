@@ -1,5 +1,6 @@
 #include "trace/trace.h"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <map>
@@ -220,14 +221,23 @@ readTraceSections(std::istream &is)
             !getScalar(is, section.capacity) || !getScalar(is, count) ||
             count > section.capacity)
             throw FatalError("trace: corrupt section header");
-        section.records.reserve(static_cast<std::size_t>(count));
+        // The count comes from the file: reserve no more than a bounded
+        // prefix of it, so a corrupt count fails below as a truncated
+        // stream instead of as one huge allocation up front.
+        constexpr std::uint64_t kMaxReserve = std::uint64_t{1} << 16;
+        section.records.reserve(
+            static_cast<std::size_t>(std::min(count, kMaxReserve)));
         for (std::uint64_t i = 0; i < count; ++i) {
             TraceRecord rec;
             std::uint16_t event = 0;
             if (!getScalar(is, rec.cycle) || !getScalar(is, rec.a) ||
                 !getScalar(is, rec.b) || !getScalar(is, rec.c) ||
                 !getScalar(is, rec.pid) || !getScalar(is, event))
-                throw FatalError("trace: truncated record stream");
+                throw FatalError("trace: truncated record stream (the "
+                                 "section header claims " +
+                                 std::to_string(count) +
+                                 " records; the stream ends after " +
+                                 std::to_string(i) + ")");
             rec.event = static_cast<TraceEvent>(event);
             section.records.push_back(rec);
         }

@@ -311,11 +311,7 @@ runWorkload(const std::string &app_name, ToolKind tool,
                machine.kernel().currentProcess().tlb().stats());
     mergeStats(result.stats, "cache", machine.cache().stats());
     mergeStats(result.stats, "controller", machine.controller().stats());
-    // The geometry stat family only exists on a block-geometry machine;
-    // the word default keeps the exact pre-geometry stats key set.
-    if (!params.geometry.isWord())
-        mergeStats(result.stats, "geometry",
-                   machine.controller().geometryStats());
+    mergeStats(result.stats, "geometry", machine.controller().geometryStats());
     mergeStats(result.stats, "alloc", stack.allocator->stats());
     return result;
 }
@@ -618,9 +614,7 @@ runConsolidated(const RunSpec &spec)
     mergeStats(result.stats, "kernel", kernel.stats());
     mergeStats(result.stats, "cache", machine.cache().stats());
     mergeStats(result.stats, "controller", machine.controller().stats());
-    if (!spec.params.geometry.isWord())
-        mergeStats(result.stats, "geometry",
-                   machine.controller().geometryStats());
+    mergeStats(result.stats, "geometry", machine.controller().geometryStats());
     mergeStats(result.stats, "sched", machine.scheduler().stats());
     // Bank hand-off classification only exists on a banked machine;
     // banks=1 keeps the exact pre-bank stats key set (bit-identity).

@@ -38,6 +38,16 @@ class BankedControllerTest : public ::testing::Test
         });
     }
 
+    /** @return the mask of banks whose bus lock is held. */
+    std::uint64_t lockedBanks() const
+    {
+        std::uint64_t mask = 0;
+        for (unsigned b = 0; b < controller.numBanks(); ++b)
+            if (controller.bank(b).locked())
+                mask |= std::uint64_t{1} << b;
+        return mask;
+    }
+
     CycleClock clock;
     PhysicalMemory memory;
     MemoryController controller;
@@ -75,55 +85,58 @@ TEST_F(BankedControllerTest, BankMaskForSpan)
 
 TEST_F(BankedControllerTest, BankLocksAreIndependent)
 {
-    controller.lockBank(0);
-    EXPECT_TRUE(controller.bankLocked(0));
-    EXPECT_FALSE(controller.bankLocked(1));
-    EXPECT_TRUE(controller.anyBankLocked());
-    EXPECT_FALSE(controller.busLocked());
-
-    // Traffic to the locked bank panics; other banks stay in service.
     LineData line{};
-    EXPECT_THROW(controller.fillLine(0, line), PanicError);
-    EXPECT_THROW(controller.evictLine(0, line), PanicError);
-    EXPECT_THROW(controller.scrubBank(0), PanicError);
-    EXPECT_TRUE(controller.fillLine(kPageSize, line));
-    controller.evictLine(kPageSize, line);
-    controller.scrubBank(1);
+    {
+        BankSetLockGuard bank0(controller, 1u << 0);
+        EXPECT_TRUE(controller.bank(0).locked());
+        EXPECT_FALSE(controller.bank(1).locked());
+        EXPECT_EQ(lockedBanks(), 1u << 0);
 
-    controller.unlockBank(0);
-    EXPECT_FALSE(controller.anyBankLocked());
+        // Traffic to the locked bank panics; other banks stay in service.
+        EXPECT_THROW(controller.fillLine(0, line), PanicError);
+        EXPECT_THROW(controller.evictLine(0, line), PanicError);
+        EXPECT_THROW(controller.scrubBank(0), PanicError);
+        EXPECT_TRUE(controller.fillLine(kPageSize, line));
+        controller.evictLine(kPageSize, line);
+        controller.scrubBank(1);
+    }
+    EXPECT_EQ(lockedBanks(), 0u);
     EXPECT_TRUE(controller.fillLine(0, line));
 }
 
 TEST_F(BankedControllerTest, DoubleBankLockPanics)
 {
-    controller.lockBank(2);
-    EXPECT_THROW(controller.lockBank(2), PanicError);
-    controller.unlockBank(2);
-    EXPECT_THROW(controller.unlockBank(2), PanicError);
+    BankSetLockGuard bank2(controller, 1u << 2);
+    EXPECT_THROW(BankSetLockGuard again(controller, 1u << 2), PanicError);
+    EXPECT_TRUE(controller.bank(2).locked());
 }
 
-TEST_F(BankedControllerTest, LockBusLocksEveryBank)
+TEST_F(BankedControllerTest, PartialLockPanicReleasesTheBanksItTook)
 {
-    controller.lockBus();
-    EXPECT_TRUE(controller.busLocked());
-    for (unsigned b = 0; b < controller.numBanks(); ++b)
-        EXPECT_TRUE(controller.bankLocked(b));
-    controller.unlockBus();
-    EXPECT_FALSE(controller.busLocked());
-    EXPECT_FALSE(controller.anyBankLocked());
+    // The second guard locks bank 1, then panics on the held bank 2;
+    // the unwind must hand bank 1 back rather than leak it.
+    BankSetLockGuard bank2(controller, 1u << 2);
+    EXPECT_THROW(BankSetLockGuard both(controller, (1u << 1) | (1u << 2)),
+                 PanicError);
+    EXPECT_EQ(lockedBanks(), 1u << 2);
+}
+
+TEST_F(BankedControllerTest, FullMaskLocksEveryBank)
+{
+    {
+        BankSetLockGuard all(controller, ~std::uint64_t{0});
+        EXPECT_EQ(lockedBanks(), 0xfu);
+    }
+    EXPECT_EQ(lockedBanks(), 0u);
 }
 
 TEST_F(BankedControllerTest, BankSetLockGuardLocksExactlyTheMask)
 {
     {
         BankSetLockGuard banks(controller, (1u << 1) | (1u << 3));
-        EXPECT_TRUE(controller.bankLocked(1));
-        EXPECT_TRUE(controller.bankLocked(3));
-        EXPECT_FALSE(controller.bankLocked(0));
-        EXPECT_FALSE(controller.bankLocked(2));
+        EXPECT_EQ(lockedBanks(), (1u << 1) | (1u << 3));
     }
-    EXPECT_FALSE(controller.anyBankLocked());
+    EXPECT_EQ(lockedBanks(), 0u);
 }
 
 TEST_F(BankedControllerTest, ScrubBankWalksOnlyItsPages)
@@ -170,8 +183,7 @@ TEST_F(BankedControllerTest, PerBankStatsRollUpToMachineWide)
         controller.fillLine(page, out);
     }
     controller.scrubAll();
-    controller.lockBank(1);
-    controller.unlockBank(1);
+    { BankSetLockGuard bank1(controller, 1u << 1); }
 
     for (ControllerStat stat :
          {ControllerStat::BusLocks, ControllerStat::LineFills,

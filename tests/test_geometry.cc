@@ -143,12 +143,13 @@ TEST(GeometryTest, EdcMissTriggersBlockDecodeAndHeals)
     machine.physicalMemory().flipDataBit(pline + 8, 5);
     EXPECT_FALSE(machine.controller().edcConsistent(pline));
 
-    const StatSet &geom = machine.controller().geometryStats();
+    StatSet geom = machine.controller().geometryStats();
     std::uint64_t misses = geom.get(GeometryStat::EdcChecksFailed);
     std::uint64_t decodes = geom.get(GeometryStat::BlockDecodes);
     // The fill misses EDC, decodes the whole codeword, and the SEC-DED
     // layer heals the single flipped bit in place.
     EXPECT_EQ(machine.load<std::uint64_t>(buffer + 8), 0x5eedf00du);
+    geom = machine.controller().geometryStats();
     EXPECT_EQ(geom.get(GeometryStat::EdcChecksFailed), misses + 1);
     EXPECT_EQ(geom.get(GeometryStat::BlockDecodes), decodes + 1);
     EXPECT_EQ(geom.get(GeometryStat::BlockDecodeWords),
@@ -173,15 +174,17 @@ TEST(GeometryTest, StaleEdcFoldIsDetectedAndRefreshed)
     // the fast path again.
     machine.physicalMemory().flipEdcBit(pline, 3);
     EXPECT_FALSE(machine.controller().edcConsistent(pline));
-    const StatSet &geom = machine.controller().geometryStats();
+    StatSet geom = machine.controller().geometryStats();
     std::uint64_t refreshes = geom.get(GeometryStat::EdcRefreshes);
     EXPECT_EQ(machine.load<std::uint64_t>(buffer), 0xabcdu);
+    geom = machine.controller().geometryStats();
     EXPECT_GT(geom.get(GeometryStat::EdcRefreshes), refreshes);
     EXPECT_TRUE(machine.controller().edcConsistent(pline));
 
     machine.cache().flushAll();
     std::uint64_t passes = geom.get(GeometryStat::EdcChecksPassed);
     EXPECT_EQ(machine.load<std::uint64_t>(buffer), 0xabcdu);
+    geom = machine.controller().geometryStats();
     EXPECT_GT(geom.get(GeometryStat::EdcChecksPassed), passes);
 }
 
@@ -199,7 +202,7 @@ TEST(GeometryTest, SequentialWritebacksAmortizeRmwCost)
         machine.store<std::uint64_t>(buffer + off, off * 0x9e37u);
     machine.cache().flushAll();
 
-    const StatSet &geom = machine.controller().geometryStats();
+    const StatSet geom = machine.controller().geometryStats();
     std::uint64_t rmws = geom.get(GeometryStat::PartialWriteRmws);
     std::uint64_t hits = geom.get(GeometryStat::OpenCodewordHits);
     std::uint64_t evictions =
@@ -243,7 +246,7 @@ TEST(GeometryTest, WatchStraddlingCodewordBoundaryFires)
     EXPECT_EQ(machine.load<std::uint64_t>(cross - kCacheLineSize), 0xaaaau);
     EXPECT_EQ(machine.load<std::uint64_t>(cross), 0xbbbbu);
     EXPECT_EQ(faults, 2);
-    const StatSet &geom = machine.controller().geometryStats();
+    const StatSet geom = machine.controller().geometryStats();
     EXPECT_GE(geom.get(GeometryStat::EdcChecksFailed), 2u);
     EXPECT_GE(geom.get(GeometryStat::BlockDecodes), 2u);
 }

@@ -5,8 +5,9 @@
  *
  * The headline regression here was found *by* the annotation sweep: the
  * kernel's DisableWatchMemory panics on an unwatched line after taking
- * the memory-bus lock, and before BusLockGuard existed the unwind left
- * the bus locked forever — every later WatchMemory call then died with
+ * the memory-bus lock, and before the lock was held through an RAII
+ * guard (now BankSetLockGuard, the only way to take a bank) the unwind
+ * left the bus locked forever — every later WatchMemory call then died with
  * the misleading "bus already locked" panic instead of doing its job.
  * The rest of the file locks down the contracts of the annotated
  * concurrency primitives the refactor touched (ThreadPool, SimCheck).
@@ -34,33 +35,41 @@ class LockDisciplineTest : public ::testing::Test
     {
     }
 
+    /** @return whether any bank's bus lock is held. */
+    bool anyBankHeld()
+    {
+        const MemoryController &controller = machine.controller();
+        for (unsigned b = 0; b < controller.numBanks(); ++b)
+            if (controller.bank(b).locked())
+                return true;
+        return false;
+    }
+
     Machine machine;
 };
 
-TEST_F(LockDisciplineTest, BusLockGuardPairsLockAndUnlock)
+TEST_F(LockDisciplineTest, BankSetLockGuardPairsLockAndUnlock)
 {
-    MemoryController &controller = machine.controller();
-    EXPECT_FALSE(controller.busLocked());
+    EXPECT_FALSE(anyBankHeld());
     {
-        BusLockGuard bus(controller);
-        EXPECT_TRUE(controller.busLocked());
+        BankSetLockGuard bus(machine.controller(), ~std::uint64_t{0});
+        EXPECT_TRUE(machine.controller().bank(0).locked());
     }
-    EXPECT_FALSE(controller.busLocked());
+    EXPECT_FALSE(anyBankHeld());
 }
 
-TEST_F(LockDisciplineTest, BusLockGuardReleasesOnUnwind)
+TEST_F(LockDisciplineTest, BankSetLockGuardReleasesOnUnwind)
 {
-    MemoryController &controller = machine.controller();
     try {
-        BusLockGuard bus(controller);
+        BankSetLockGuard bus(machine.controller(), ~std::uint64_t{0});
         panic("deliberate unwind with the bus locked");
     } catch (const PanicError &) {
     }
-    EXPECT_FALSE(controller.busLocked());
+    EXPECT_FALSE(anyBankHeld());
 }
 
 /**
- * Regression (pre-BusLockGuard this failed): DisableWatchMemory panics
+ * Regression (before the RAII guard this failed): DisableWatchMemory panics
  * on a mapped-but-unwatched line *after* locking the bus; the unwind
  * must release the bus or the kernel is wedged for every later watch.
  */
@@ -72,7 +81,7 @@ TEST_F(LockDisciplineTest, DisableUnwatchedPanicReleasesBusLock)
 
     EXPECT_THROW(kernel.disableWatchMemory(base, kCacheLineSize),
                  PanicError);
-    EXPECT_FALSE(machine.controller().busLocked())
+    EXPECT_FALSE(anyBankHeld())
         << "panic unwound with the memory bus still locked";
 
     // The kernel must still be fully operational: a watch/unwatch round
@@ -97,7 +106,7 @@ TEST_F(LockDisciplineTest, PartiallyWatchedDisablePanicReleasesBusLock)
 
     EXPECT_THROW(kernel.disableWatchMemory(base, 2 * kCacheLineSize),
                  PanicError);
-    EXPECT_FALSE(machine.controller().busLocked());
+    EXPECT_FALSE(anyBankHeld());
 
     // The first line was unwatched before the panic; watching it again
     // must succeed now that the bus is free.

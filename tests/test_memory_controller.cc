@@ -356,12 +356,13 @@ TEST_F(ControllerTest, LineDeviceOpsHonourTheMode)
 
 TEST_F(ControllerTest, BusLockBlocksTransfersViaPanic)
 {
-    controller.lockBus();
-    EXPECT_TRUE(controller.busLocked());
     LineData out{};
-    EXPECT_THROW(controller.fillLine(0, out), PanicError);
-    EXPECT_THROW(controller.evictLine(0, out), PanicError);
-    controller.unlockBus();
+    {
+        BankSetLockGuard bus(controller, ~std::uint64_t{0});
+        EXPECT_TRUE(controller.bank(0).locked());
+        EXPECT_THROW(controller.fillLine(0, out), PanicError);
+        EXPECT_THROW(controller.evictLine(0, out), PanicError);
+    }
     EXPECT_TRUE(controller.fillLine(0, out));
 }
 
@@ -369,18 +370,19 @@ TEST_F(ControllerTest, BusLockBlocksScrubViaPanic)
 {
     // A scrub pass is bus traffic like any other: running one while the
     // bus is locked for a scramble would read half-scrambled lines.
-    controller.lockBus();
-    EXPECT_THROW(controller.scrubRange(0, 1), PanicError);
-    controller.unlockBus();
+    {
+        BankSetLockGuard bus(controller, ~std::uint64_t{0});
+        EXPECT_THROW(controller.scrubRange(0, 1), PanicError);
+    }
     controller.scrubRange(0, 1);
 }
 
 TEST_F(ControllerTest, DoubleBusLockPanics)
 {
-    controller.lockBus();
-    EXPECT_THROW(controller.lockBus(), PanicError);
-    controller.unlockBus();
-    EXPECT_THROW(controller.unlockBus(), PanicError);
+    BankSetLockGuard bus(controller, ~std::uint64_t{0});
+    EXPECT_THROW(BankSetLockGuard again(controller, ~std::uint64_t{0}),
+                 PanicError);
+    EXPECT_TRUE(controller.bank(0).locked());
 }
 
 TEST_F(ControllerTest, UnalignedFillPanics)

@@ -202,28 +202,26 @@ TEST(SimCheck, SeededCanaryClobberIsReported)
 TEST(SimCheck, BusLockPairingViolationIsReported)
 {
     Machine machine;
-    machine.controller().lockBus();
+    BankSetLockGuard bus(machine.controller(), ~std::uint64_t{0});
 
     CollectViolations guard;
     // In collect mode the audit records the violation, after which the
     // controller's own hard panic still fires.
-    EXPECT_THROW(machine.controller().lockBus(), PanicError);
+    EXPECT_THROW(
+        BankSetLockGuard again(machine.controller(), ~std::uint64_t{0}),
+        PanicError);
     EXPECT_TRUE(guard.sawInvariant("bus_lock_pairing"));
-
-    machine.controller().unlockBus();
 }
 
 TEST(SimCheck, TrafficWhileBusLockedIsReported)
 {
     Machine machine;
-    machine.controller().lockBus();
+    BankSetLockGuard bus(machine.controller(), ~std::uint64_t{0});
 
     CollectViolations guard;
     LineData line{};
     EXPECT_THROW(machine.controller().fillLine(0, line), PanicError);
     EXPECT_TRUE(guard.sawInvariant("no_traffic_while_locked"));
-
-    machine.controller().unlockBus();
 }
 
 } // namespace

@@ -265,6 +265,57 @@ TEST(Trace, TruncatedSectionThrows)
     EXPECT_THROW(readTraceSections(cut), FatalError);
 }
 
+/**
+ * @return a one-record section labelled "x" whose header claims
+ * @p capacity and @p count, patched in after writing (the fields sit
+ * after magic, version, label length, label and emitted).
+ */
+std::string
+sectionClaiming(std::uint64_t capacity, std::uint64_t count)
+{
+    Trace trace(16);
+    trace.emit(TraceEvent::WatchDrop, 1);
+    std::stringstream stream(std::ios::in | std::ios::out |
+                             std::ios::binary);
+    writeTraceSection(stream, trace, "x");
+    std::string bytes = stream.str();
+    const std::size_t capacity_at = 4 + 4 + 4 + 1 + 8;
+    std::memcpy(&bytes[capacity_at], &capacity, sizeof(capacity));
+    std::memcpy(&bytes[capacity_at + 8], &count, sizeof(count));
+    return bytes;
+}
+
+TEST(Trace, HugeClaimedCountFailsAsTruncationNotAllocation)
+{
+    // A count of 2^58 under a capacity of 2^60 passes the header's own
+    // bound; reserving it used to throw std::length_error.
+    std::stringstream stream(
+        sectionClaiming(std::uint64_t{1} << 60, std::uint64_t{1} << 58),
+        std::ios::in | std::ios::binary);
+    try {
+        readTraceSections(stream);
+        FAIL() << "a section claiming 2^58 records was accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("trace: truncated"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(Trace, CountBeyondTheRecordsPresentThrows)
+{
+    // The header claims three records; the stream holds one.
+    std::stringstream stream(sectionClaiming(16, 3),
+                             std::ios::in | std::ios::binary);
+    EXPECT_THROW(readTraceSections(stream), FatalError);
+    // Unpatched, the same bytes read back as one record.
+    std::stringstream intact(sectionClaiming(16, 1),
+                             std::ios::in | std::ios::binary);
+    std::vector<TraceSection> sections = readTraceSections(intact);
+    ASSERT_EQ(sections.size(), 1u);
+    EXPECT_EQ(sections[0].records.size(), 1u);
+}
+
 TEST(Trace, JsonLinesCarryAbsoluteSequenceNumbers)
 {
     Trace trace(16);

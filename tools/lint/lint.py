@@ -43,23 +43,15 @@ Rules (scoped to ``src/`` unless noted):
                    like method declarations and are not inspected.
   lock-order       Lock acquisitions inside one function must follow the
                    declared hierarchy (outermost first): watch-manager
-                   park -> bank lock -> memory-bus lock.  Acquiring a
-                   lock at the same or an outer level while an inner one
-                   is held (including double acquisition) is flagged;
-                   ``// lint: lock-order`` on the acquisition line waives
-                   a deliberate exception.  Checked textually per
-                   function: explicit pairs (``lockBus``/``unlockBus``,
-                   ``parkAllForScrub``/``restoreAfterScrub``) and scoped
-                   guards (``BusLockGuard``/``BankLockGuard``), with
-                   scope-exit treated as release.
-  bank-encapsulation  No direct whole-bus locking outside ``src/mem/``:
-                   ``lockBus()``/``unlockBus()`` call sites, the
-                   ``BusLockGuard``, and the controller's private
-                   ``busLocked_`` flag are the banks' own roll-up
-                   machinery.  Code elsewhere locks the banks it spans
-                   (``BankLockGuard`` / ``BankSetLockGuard`` over
-                   ``bankMaskForSpan``); the read-only ``busLocked()``
-                   query stays fine.
+                   park -> bank lock.  Acquiring a lock at the same or
+                   an outer level while an inner one is held (including
+                   double acquisition) is flagged; ``// lint: lock-order``
+                   on the acquisition line waives a deliberate
+                   exception.  Checked textually per function: explicit
+                   pairs (``parkAllForScrub``/``restoreAfterScrub``,
+                   ``lockBank``/``unlockBank``) and the scoped
+                   ``BankSetLockGuard``, with scope-exit treated as
+                   release.
   toolkind-plumbing  Every ``ToolKind`` enumerator declared in
                    ``src/workloads/driver.h`` must be named (as
                    ``ToolKind::<Name>``) in the driver's name table and
@@ -467,9 +459,7 @@ LOCK_ORDER_WAIVER = "lint: lock-order"
 # Explicit pairs release by name; RAII guards release at scope exit.
 LOCK_HIERARCHY = [
     ("watch-park", "parkAllForScrub", "restoreAfterScrub", ()),
-    ("bank-lock", "lockBank", "unlockBank",
-     ("BankLockGuard", "BankSetLockGuard")),
-    ("bus-lock", "lockBus", "unlockBus", ("BusLockGuard",)),
+    ("bank-lock", "lockBank", "unlockBank", ("BankSetLockGuard",)),
 ]
 
 
@@ -545,7 +535,7 @@ def check_unguarded_shared_state(rel, stripped, raw, violations):
 def _is_lock_call_site(line, pos):
     """True when the match at ``pos`` is a call, not a declaration.
 
-    Declarations carry a return type (``void lockBus()``) or a
+    Declarations carry a return type (``void lockBank(...)``) or a
     ``Class::`` qualifier immediately before the name; call sites are
     reached through ``.``/``->`` or stand alone at statement start.
     """
@@ -603,40 +593,14 @@ def check_lock_order(rel, stripped, raw, violations):
                         rel, lineno, "lock-order",
                         f"acquires {LOCK_HIERARCHY[level][0]} while holding "
                         f"{held_name}: the hierarchy is watch-park > "
-                        "bank-lock > bus-lock (outermost first), and a held "
-                        "level may never be re-acquired"))
+                        "bank-lock (outermost first), and a held level may "
+                        "never be re-acquired"))
                 held.append((level, depth))
             else:  # release: drop the most recent hold of that level
                 for i in range(len(held) - 1, -1, -1):
                     if held[i][0] == level:
                         del held[i]
                         break
-
-
-# The whole-bus lock is the banks' own roll-up machinery: lockBus()
-# iterates lockBank() over every bank, and busLocked_ no longer exists
-# outside MemoryBank. Code outside src/mem/ that wants traffic stopped
-# locks exactly the banks it spans.
-BANK_ENCAPSULATION = re.compile(
-    r"\b(?P<name>lockBus|unlockBus)\s*\(|"
-    r"\b(?P<member>busLocked_)\b|"
-    r"\b(?P<guard>BusLockGuard)\s+\w+\s*[({]")
-
-
-def check_bank_encapsulation(rel, stripped, violations):
-    if not rel.startswith("src/") or rel.startswith("src/mem/"):
-        return
-    for lineno, line in enumerate(stripped.splitlines(), 1):
-        for m in BANK_ENCAPSULATION.finditer(line):
-            if m.group("name") and not _is_lock_call_site(line, m.start()):
-                continue  # a declaration, not a call
-            what = m.group("name") or m.group("member") or m.group("guard")
-            violations.append(Violation(
-                rel, lineno, "bank-encapsulation",
-                f"direct whole-bus locking ('{what}') outside src/mem/: "
-                "lock the banks the access spans instead (BankLockGuard "
-                "/ BankSetLockGuard over bankMaskForSpan)"))
-            break
 
 
 def check_header_docs(rel, raw, violations):
@@ -719,7 +683,6 @@ def lint_file(root, rel, violations):
     check_string_trace_payload(rel, stripped, violations)
     check_single_space_kernel(rel, stripped, violations)
     check_codeword_arithmetic(rel, stripped, violations)
-    check_bank_encapsulation(rel, stripped, violations)
     check_unguarded_shared_state(rel, stripped, raw, violations)
     check_lock_order(rel, stripped, raw, violations)
 
@@ -825,29 +788,23 @@ SEEDED_SOURCES = {
         "  private:\n"
         "    safemem::Mutex mutex_;\n"
         "    int count_ = 0;\n};\n"),
-    "src/os/bad_bus_poke.cc": (
-        "bank-encapsulation",
-        '#include "mem/memory_controller.h"\n'
-        "void stall(safemem::MemoryController &c)\n{\n"
-        "    c.lockBus();\n"
-        "    c.unlockBus();\n}\n"),
     "src/mem/bad_lock_order.cc": (
         "lock-order",
         '#include "mem/memory_controller.h"\n'
         '#include "safemem/watch_manager.h"\n'
         "void backwards(safemem::MemoryController &c,\n"
         "               safemem::EccWatchManager &w)\n{\n"
-        "    c.lockBus();\n"
+        "    safemem::BankSetLockGuard bus(c, ~std::uint64_t{0});\n"
         "    w.parkAllForScrub();\n"
-        "    w.restoreAfterScrub();\n"
-        "    c.unlockBus();\n}\n"),
-    "src/mem/bad_double_bus.cc": (
+        "    w.restoreAfterScrub();\n}\n"),
+    "src/os/bad_double_bank.cc": (
         "lock-order",
         '#include "mem/memory_controller.h"\n'
         "void wedge(safemem::MemoryController &c)\n{\n"
-        "    c.lockBus();\n"
-        "    c.lockBus();\n"
-        "    c.unlockBus();\n}\n"),
+        "    safemem::BankSetLockGuard outer(c, 1);\n"
+        "    {\n"
+        "        safemem::BankSetLockGuard inner(c, 1);\n"
+        "    }\n}\n"),
     # One ToolKind mirror (the report writer) forgets the Purify
     # enumerator declared by the seeded driver.h below; the other
     # mirrors (in CLEAN_SOURCES) name everything and must stay quiet.
@@ -913,38 +870,30 @@ CLEAN_SOURCES = [
      "    return machine.kernel().tlb().size() <=\n"
      "           machine.kernel().pageTable().size();\n}\n"),
     # Disciplined locking the lock-order rule must accept: hierarchy
-    # order with a scoped guard, release-then-reacquire of one level,
-    # and a deliberate (waived) inversion. Lives in src/mem/ because
-    # whole-bus locking is banned everywhere else (bank-encapsulation).
-    ("src/mem/clean_lock_discipline.cc",
+    # order with a scoped guard, release-then-reacquire of one level in
+    # sibling scopes, and a deliberate (waived) inversion.
+    ("src/os/clean_lock_discipline.cc",
      '#include "mem/memory_controller.h"\n'
      '#include "safemem/watch_manager.h"\n'
      "void scrubPass(safemem::MemoryController &c,\n"
-     "               safemem::EccWatchManager &w)\n{\n"
+     "               safemem::EccWatchManager &w, safemem::PhysAddr a)\n{\n"
      "    w.parkAllForScrub();\n"
      "    {\n"
-     "        safemem::BusLockGuard bus(c);\n"
+     "        safemem::BankSetLockGuard banks(c, c.bankMaskForSpan(a, 64));\n"
      "    }\n"
      "    w.restoreAfterScrub();\n}\n"
      "void relock(safemem::MemoryController &c)\n{\n"
-     "    c.lockBus();\n"
-     "    c.unlockBus();\n"
-     "    c.lockBus();\n"
-     "    c.unlockBus();\n}\n"
+     "    {\n"
+     "        safemem::BankSetLockGuard first(c, 1);\n"
+     "    }\n"
+     "    {\n"
+     "        safemem::BankSetLockGuard second(c, 1);\n"
+     "    }\n}\n"
      "void waived(safemem::MemoryController &c,\n"
      "            safemem::EccWatchManager &w)\n{\n"
-     "    c.lockBus();\n"
+     "    safemem::BankSetLockGuard bus(c, ~std::uint64_t{0});\n"
      "    w.parkAllForScrub(); // lint: lock-order\n"
-     "    w.restoreAfterScrub();\n"
-     "    c.unlockBus();\n}\n"),
-    # The sanctioned banked path outside src/mem/: lock the spanned
-    # banks, query (but never flip) the whole-bus view.
-    ("src/os/clean_bank_span.cc",
-     '#include "mem/memory_controller.h"\n'
-     "bool spanStalled(safemem::MemoryController &c, safemem::PhysAddr a)\n"
-     "{\n"
-     "    safemem::BankSetLockGuard banks(c, c.bankMaskForSpan(a, 4096));\n"
-     "    return c.busLocked() || c.anyBankLocked();\n}\n"),
+     "    w.restoreAfterScrub();\n}\n"),
     # The toolkind-plumbing seed tree: a two-enumerator ToolKind whose
     # driver and CLI mirrors name everything (the report-writer mirror
     # in SEEDED_SOURCES drops one and must be flagged).
