@@ -31,47 +31,48 @@ parityFold(const std::uint64_t *words, std::size_t nwords)
     return acc & 0xff;
 }
 
-/** Reflected CRC-32 (IEEE 802.3 polynomial), table-driven. */
-const std::array<std::uint32_t, 256> &
-crcTable()
+/** Reflected CRC-32 (IEEE 802.3 polynomial), sliced by eight: row 0 is
+ *  the classic byte table; row k advances a byte's CRC through k more
+ *  zero bytes, so one 64-bit word folds in eight independent lookups. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables &
+crcTables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t crc = i;
             for (int bit = 0; bit < 8; ++bit)
                 crc = (crc >> 1) ^ (crc & 1 ? 0xEDB88320u : 0u);
-            t[i] = crc;
+            t[0][i] = crc;
         }
+        for (std::size_t k = 1; k < t.size(); ++k)
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
         return t;
     }();
-    return table;
+    return tables;
 }
 
 std::uint64_t
 crc32Fold(const std::uint64_t *words, std::size_t nwords)
 {
-    const auto &table = crcTable();
+    const CrcTables &t = crcTables();
     std::uint32_t crc = 0xFFFFFFFFu;
     for (std::size_t i = 0; i < nwords; ++i) {
-        std::uint64_t word = words[i];
-        for (int byte = 0; byte < 8; ++byte) {
-            crc = (crc >> 8) ^
-                  table[(crc ^ static_cast<std::uint8_t>(
-                                   word >> (8 * byte))) &
-                        0xff];
-        }
+        // The word's bytes enter low byte first; the 32-bit register
+        // overlaps its low four bytes.
+        std::uint64_t x = words[i] ^ crc;
+        crc = t[7][x & 0xff] ^ t[6][(x >> 8) & 0xff] ^
+              t[5][(x >> 16) & 0xff] ^ t[4][(x >> 24) & 0xff] ^
+              t[3][(x >> 32) & 0xff] ^ t[2][(x >> 40) & 0xff] ^
+              t[1][(x >> 48) & 0xff] ^ t[0][x >> 56];
     }
     return crc ^ 0xFFFFFFFFu;
 }
 
 } // namespace
-
-unsigned
-edcBitsPerLine(EdcKind kind)
-{
-    return kind == EdcKind::Crc32 ? 32 : 8;
-}
 
 std::uint64_t
 edcLineFold(EdcKind kind, const std::uint64_t *words, std::size_t nwords)

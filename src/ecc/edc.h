@@ -33,7 +33,11 @@
 namespace safemem {
 
 /** @return EDC bits stored per cache line under @p kind (8 or 32). */
-unsigned edcBitsPerLine(EdcKind kind);
+constexpr unsigned
+edcBitsPerLine(EdcKind kind)
+{
+    return kind == EdcKind::Crc32 ? 32 : 8;
+}
 
 /**
  * Fold one cache line's @p nwords data words into its EDC value.
